@@ -18,6 +18,7 @@ with the closed form) and never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -29,7 +30,7 @@ from . import reference_data as ref
 from . import verification as ver
 from .exact_algebra import frac_to_decimal_str, frac_to_str
 
-_COMPARE_LIMIT = {"dk": 30, "trees": 12}
+_PUBLISHED = {"dk": ref.PUBLISHED_DK, "trees": ref.PUBLISHED_TREES}
 
 
 def positive_int(text: str) -> int:
@@ -100,23 +101,15 @@ def _table_row(which: str, n: int) -> tuple[str, str]:
     return str(count), str(count)
 
 
-def _published(which: str, n: int) -> str:
-    if which == "dk":
-        return ref.PUBLISHED_DK[n]
-    return str(ref.PUBLISHED_TREES[n])
-
-
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     if args.end < args.start:
         parser.error("--to must not be smaller than --from")
     if args.compare_paper:
-        if args.which not in _COMPARE_LIMIT:
+        if args.which not in _PUBLISHED:
             parser.error(f"no published rows exist for {args.which!r}")
-        if args.end > _COMPARE_LIMIT[args.which]:
-            parser.error(
-                f"published {args.which} rows stop at n="
-                f"{_COMPARE_LIMIT[args.which]}"
-            )
+        last = max(_PUBLISHED[args.which])
+        if args.end > last:
+            parser.error(f"published {args.which} rows stop at n={last}")
 
     rows = []
     strict_mismatch = False
@@ -124,7 +117,7 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
         exact, value = _table_row(args.which, n)
         row = {"n": n, "exact": exact, "value": value}
         if args.compare_paper:
-            published = _published(args.which, n)
+            published = str(_PUBLISHED[args.which][n])
             row["published"] = published
             row["match"] = value == published
             if not row["match"] and args.which == "trees":
@@ -147,25 +140,34 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     return 1 if strict_mismatch else 0
 
 
-def _cmd_verify(args) -> int:
-    report = ver.run_verification(args.n_max)
-    width = max(len(c.name) for c in report.checks)
-    for c in report.checks:
-        status = "PASS" if c.passed else ("INFO" if c.informational else "FAIL")
-        line = f"{status}  {c.name:<{width}}  n={c.n}"
-        if not c.passed:
-            line += f"  (expected {c.expected}, got {c.actual})"
-        if c.note:
-            line += f"  [{c.note}]"
-        print(line)
-    s = report.summary
-    print(
-        f"{s['passed']}/{s['total']} checks passed, "
-        f"{s['failed']} failed, {s['informational']} informational"
-    )
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(ver.report_to_json(report) + "\n")
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    # open the report file first, so a bad path fails before the long run
+    try:
+        out = (
+            open(args.json_out, "w", encoding="utf-8")
+            if args.json_out
+            else contextlib.nullcontext()
+        )
+    except OSError as exc:
+        parser.error(f"cannot write --json-out file: {exc}")
+    with out:
+        report = ver.run_verification(args.n_max)
+        width = max(len(c.name) for c in report.checks)
+        for c in report.checks:
+            status = "PASS" if c.passed else ("INFO" if c.informational else "FAIL")
+            line = f"{status}  {c.name:<{width}}  n={c.n}"
+            if not c.passed:
+                line += f"  (expected {c.expected}, got {c.actual})"
+            if c.note:
+                line += f"  [{c.note}]"
+            print(line)
+        s = report.summary
+        print(
+            f"{s['passed']}/{s['total']} checks passed, "
+            f"{s['failed']} failed, {s['informational']} informational"
+        )
+        if args.json_out:
+            out.write(ver.report_to_json(report) + "\n")
     return 0 if s["failed"] == 0 else 1
 
 
@@ -213,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full cross-check suite")
     p_verify.add_argument("--n-max", type=positive_int, default=6)
     p_verify.add_argument("--json-out", default=None)
-    p_verify.set_defaults(handler=lambda args: _cmd_verify(args))
+    p_verify.set_defaults(handler=lambda args: _cmd_verify(args, parser))
 
     return parser
 

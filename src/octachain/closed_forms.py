@@ -1,12 +1,14 @@
 """Closed-form spectral invariants of the twisted octagonal chain.
 
 All formulas are driven by the algebraic pair x = (4 +- sqrt(15))/12, the two
-roots that govern the period-three minor recurrences of the chain blocks.
-Powers of 4 + sqrt(15) are tracked two independent ways: through integer
-Lucas-style recurrences (t_k, u_k) and through literal exponentiation in
-Q(sqrt(15)).  Every function that has both routes available computes both and
-raises :class:`ConsistencyError` if they ever disagree, so a silent algebra
-slip cannot produce a plausible-looking number.
+roots that govern the period-three minor recurrences of the chain blocks, and
+so by the powers (4 + sqrt(15))**n = (t_n + u_n sqrt(15)) / 2.  The integer
+pair (t_n, u_n) comes from :func:`~octachain.exact_algebra.unit_power`.  The
+one place that compares it with literal exponentiation in Q(sqrt(15)) is
+``_unit``: ``xi``, ``det_ls``, ``coeff_t_3n_minus_1`` and ``minor_det_ls``
+take (t_n, u_n) from there, and it raises :class:`ConsistencyError` if the
+two routes ever disagree, so a silent algebra slip cannot produce a
+plausible-looking number.
 
 Quantities provided (for the closed chain with parameter n):
 
@@ -32,23 +34,32 @@ from .exact_algebra import (
     QuadExt,
     frac_to_sig_str,
     frac_to_str,
-    lucas_t,
-    lucas_u,
     quad_pow,
+    unit_power,
 )
 
 F = Fraction
 
-# the two recurrence roots (4 +- sqrt(15)) / 12
+# the recurrence root (4 + sqrt(15)) / 12; the other root is its conjugate
 X_PLUS = QuadExt(F(1, 3), F(1, 12))
-X_MINUS = X_PLUS.conjugate()
-_INV_SQRT15 = QuadExt(0, F(1, 15))  # 1/sqrt(15)
 _TWELFTH = F(1, 12)
 
 
 def _require_positive(n: int) -> None:
     if n < 1:
         raise ValueError("n must be a positive integer")
+
+
+def _unit(n: int) -> tuple[int, int]:
+    """(t_n, u_n) from the integer route, checked against (12 * x_plus)**n
+    computed in Q(sqrt(15))."""
+    t, u = unit_power(n)
+    power = quad_pow(12 * X_PLUS, n)
+    if power != QuadExt(F(t, 2), F(u, 2)):
+        raise ConsistencyError(
+            f"(4 + sqrt15)**{n}: field route {power} != ({t} + {u}*sqrt15)/2"
+        )
+    return t, u
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +102,8 @@ def w_minor(phase: int, j: int) -> Fraction:
 
 
 # coefficients c with q_j = c * x_plus**k + conj(c) * x_minus**k, k = (j-r)/3,
-# keyed by (phase, j mod 3)
+# keyed by (phase, j mod 3); with x_+-**k = (t_k +- u_k sqrt(15)) / (2 * 12**k)
+# this is q_j = (c.a * t_k + 15 * c.b * u_k) / 12**k
 _Q_COEFF = {
     (0, 0): QuadExt(F(1, 2), F(1, 5)),
     (0, 1): QuadExt(F(2, 3), F(17, 90)),
@@ -112,10 +124,8 @@ def q_minor(phase: int, j: int) -> Fraction:
     r = j % 3
     k = (j - r) // 3
     c = _Q_COEFF[(phase, r)]
-    value = c * quad_pow(X_PLUS, k) + c.conjugate() * quad_pow(X_MINUS, k)
-    if not value.is_rational:
-        raise ConsistencyError(f"minor q({phase}, {j}) has an irrational part")
-    return value.a
+    t, u = unit_power(k)
+    return (c.a * t + 15 * c.b * u) / 12**k
 
 
 # ---------------------------------------------------------------------------
@@ -130,20 +140,11 @@ def sum_recip_alpha(n: int) -> Fraction:
 
 
 def xi(n: int) -> Fraction:
-    """Sum of reciprocals of the difference-block eigenvalues.
-
-    Evaluated through the integer recurrence pair and, independently,
-    through exponentiation in Q(sqrt(15)); the two must agree.
-    """
+    """Sum of reciprocals of the difference-block eigenvalues,
+    37 n u_n / (2 (t_n + 2))."""
     _require_positive(n)
-    from_lucas = F(37 * n * lucas_u(n), 2 * (lucas_t(n) + 2))
-
-    xp, xm = quad_pow(X_PLUS, n), quad_pow(X_MINUS, n)
-    ratio = (xp - xm) * _INV_SQRT15 / (xp + xm + 2 * _TWELFTH**n)
-    from_field = F(37 * n, 2) * ratio
-    if not from_field.is_rational or from_field.a != from_lucas:
-        raise ConsistencyError(f"xi({n}): field route {from_field} != {from_lucas}")
-    return from_lucas
+    t, u = _unit(n)
+    return F(37 * n * u, 2 * (t + 2))
 
 
 def kemeny(n: int) -> Fraction:
@@ -161,7 +162,8 @@ def dk_index(n: int) -> Fraction:
 def spanning_trees(n: int) -> int:
     """Number of spanning trees, 3n (t_n + 2) / 2."""
     _require_positive(n)
-    count = F(3 * n, 2) * (lucas_t(n) + 2)
+    t, _ = unit_power(n)
+    count = F(3 * n, 2) * (t + 2)
     if count.denominator != 1:
         raise ConsistencyError(f"tree count for n={n} is not an integer: {count}")
     return count.numerator
@@ -175,11 +177,8 @@ def spanning_trees(n: int) -> int:
 def det_ls(n: int) -> Fraction:
     """Determinant of the difference block, (t_n + 2) / 12**n."""
     _require_positive(n)
-    from_lucas = F(lucas_t(n) + 2, 12**n)
-    from_field = quad_pow(X_PLUS, n) + quad_pow(X_MINUS, n) + 2 * _TWELFTH**n
-    if not from_field.is_rational or from_field.a != from_lucas:
-        raise ConsistencyError(f"det({n}): field route {from_field} != {from_lucas}")
-    return from_lucas
+    t, _ = _unit(n)
+    return F(t + 2, 12**n)
 
 
 def coeff_d_3n_minus_1(n: int) -> Fraction:
@@ -195,17 +194,11 @@ def coeff_d_3n_minus_2(n: int) -> Fraction:
 
 
 def coeff_t_3n_minus_1(n: int) -> Fraction:
-    """Magnitude of the linear charpoly coefficient of the difference block."""
+    """Magnitude of the linear charpoly coefficient of the difference block,
+    37 n u_n / (2 * 12**n)."""
     _require_positive(n)
-    from_lucas = F(37 * n * lucas_u(n), 2 * 12**n)
-    from_field = F(37 * n, 2) * (
-        (quad_pow(X_PLUS, n) - quad_pow(X_MINUS, n)) * _INV_SQRT15
-    )
-    if not from_field.is_rational or from_field.a != from_lucas:
-        raise ConsistencyError(
-            f"coefficient({n}): field route {from_field} != {from_lucas}"
-        )
-    return from_lucas
+    _, u = _unit(n)
+    return F(37 * n * u, 2 * 12**n)
 
 
 def minor_det_la(x: int, n: int) -> Fraction:
@@ -229,18 +222,10 @@ def minor_det_ls(x: int, n: int) -> Fraction:
     _require_positive(n)
     if not 1 <= x <= 3 * n:
         raise ValueError(f"position {x} outside 1..{3 * n}")
+    _, u = _unit(n)
     if x % 3 == 1:
-        from_lucas = F(9 * lucas_u(n), 2 * 12**n)
-        scale = QuadExt(0, F(3, 10))  # (3/10) sqrt(15)
-    else:
-        from_lucas = F(7 * lucas_u(n), 12**n)
-        scale = QuadExt(0, F(7, 15))  # (7/15) sqrt(15)
-    from_field = scale * (quad_pow(X_PLUS, n) - quad_pow(X_MINUS, n))
-    if not from_field.is_rational or from_field.a != from_lucas:
-        raise ConsistencyError(
-            f"deleted minor ({x}, {n}): field route {from_field} != {from_lucas}"
-        )
-    return from_lucas
+        return F(9 * u, 2 * 12**n)
+    return F(7 * u, 12**n)
 
 
 # ---------------------------------------------------------------------------

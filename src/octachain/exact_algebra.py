@@ -2,8 +2,8 @@
 
 Everything downstream that claims to be "exact" bottoms out here: rational
 matrix elimination (determinants, minors, inverses, rank), arithmetic in the
-quadratic field Q(sqrt(15)), the Lucas-style integer pair attached to the
-fundamental unit 4 + sqrt(15), and string/decimal rendering of rationals.
+quadratic field Q(sqrt(15)), integer powers of the fundamental unit
+4 + sqrt(15), and string/decimal rendering of integers and rationals.
 All rational work uses :class:`fractions.Fraction`; integer determinants use
 Bareiss elimination so intermediate values stay integral.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -126,35 +127,24 @@ def quad_pow(x: QuadExt, k: int) -> QuadExt:
 
 
 # ---------------------------------------------------------------------------
-# Lucas-style pair for the unit 4 + sqrt(15)
+# Powers of the unit 4 + sqrt(15)
 # ---------------------------------------------------------------------------
-#
-# t_k and u_k are defined by (4 + sqrt(15))**k = (t_k + u_k*sqrt(15)) / 2.
-# Both satisfy s_k = 8*s_{k-1} - s_{k-2}; t pairs with u via
-# t_k**2 - 15*u_k**2 = 4.
 
 
-def _lucas(k: int, s0: int, s1: int) -> int:
+def unit_power(k: int) -> tuple[int, int]:
+    """(t_k, u_k) with (4 + sqrt(15))**k = (t_k + u_k*sqrt(15)) / 2.
+
+    Binary powering in Z[sqrt(15)] over plain ints, O(log k) steps.  Both
+    sequences satisfy s_k = 8*s_{k-1} - s_{k-2}, and t_k**2 - 15*u_k**2 = 4.
+    """
     if k < 0:
         raise ValueError("index must be non-negative")
-    a, b = s0, s1
-    for _ in range(k):
-        a, b = b, 8 * b - a
-    return a
-
-
-def lucas_t(k: int) -> int:
-    return _lucas(k, 2, 8)
-
-
-def lucas_u(k: int) -> int:
-    return _lucas(k, 0, 2)
-
-
-def quad_to_lucas_consistency(k: int) -> bool:
-    """Check (4 + sqrt(15))**k against the recurrence pair (t_k, u_k)."""
-    power = quad_pow(QuadExt(4, 1), k)
-    return power == QuadExt(Fraction(lucas_t(k), 2), Fraction(lucas_u(k), 2))
+    a, b = 1, 0  # a + b*sqrt(15)
+    for bit in bin(k)[2:]:
+        a, b = a * a + 15 * b * b, 2 * a * b
+        if bit == "1":
+            a, b = 4 * a + 15 * b, a + 4 * b
+    return 2 * a, 2 * b
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +279,27 @@ def rank_fraction(m: Sequence[Sequence]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def int_to_str(x: int) -> str:
+    """Decimal digits of x, also past the interpreter's limit on str(int).
+
+    Below sys.get_int_max_str_digits() this is str(x); above it the digits
+    are produced by divide and conquer on powers of ten.
+    """
+    limit = sys.get_int_max_str_digits()
+    # |x| < 2**bit_length <= 10**limit whenever bit_length <= 3.32 * limit
+    if not limit or x.bit_length() <= 3.32 * limit:
+        return str(x)
+    if x < 0:
+        return "-" + int_to_str(-x)
+    half = int(x.bit_length() * 0.30103) // 2
+    high, low = divmod(x, 10**half)
+    return int_to_str(high) + int_to_str(low).rjust(half, "0")
+
+
 def frac_to_str(q: Fraction) -> str:
     """Render a rational as "p/q" with the denominator always explicit."""
     q = _as_fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_to_str(q.numerator)}/{int_to_str(q.denominator)}"
 
 
 def parse_frac(text: str) -> Fraction:

@@ -64,11 +64,7 @@ class ChainGraph:
             seen.add((a, b))
         if list(edges) != sorted(edges):
             raise ValueError("edges must be sorted lexicographically")
-        degrees = [0] * self.vertex_count
-        for a, b in edges:
-            degrees[a] += 1
-            degrees[b] += 1
-        object.__setattr__(self, "degrees", tuple(degrees))
+        object.__setattr__(self, "degrees", vertex_degrees(self))
 
 
 def _chain_graph(kind: str, n: int, vertex_count: int, edges) -> ChainGraph:
@@ -181,6 +177,16 @@ def _graph_data(g) -> tuple[int, tuple[tuple[int, int], ...]]:
         return g.vertex_count, g.edges
     vertex_count, edges = g
     return int(vertex_count), tuple(tuple(e) for e in edges)
+
+
+def vertex_degrees(g) -> tuple[int, ...]:
+    """Degree of every vertex, accepting any (vertex_count, edges) pair."""
+    vertex_count, edges = _graph_data(g)
+    degrees = [0] * vertex_count
+    for a, b in edges:
+        degrees[a] += 1
+        degrees[b] += 1
+    return tuple(degrees)
 
 
 def is_connected(g) -> bool:

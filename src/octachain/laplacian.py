@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_gen import _graph_data, build_moebius_octagonal
+from .graph_gen import _graph_data, build_moebius_octagonal, vertex_degrees
 
 F = Fraction
 
@@ -41,19 +41,10 @@ def adjacency_matrix(g) -> list[list[int]]:
     return a
 
 
-def _degrees(g) -> list[int]:
-    vertex_count, edges = _graph_data(g)
-    d = [0] * vertex_count
-    for i, j in edges:
-        d[i] += 1
-        d[j] += 1
-    return d
-
-
 def combinatorial_laplacian(g) -> list[list[int]]:
     """Integer matrix D - A."""
     lap = [[-x for x in row] for row in adjacency_matrix(g)]
-    for i, d in enumerate(_degrees(g)):
+    for i, d in enumerate(vertex_degrees(g)):
         lap[i][i] = d
     return lap
 
@@ -65,7 +56,7 @@ def normalized_laplacian(g) -> np.ndarray:
     product formed first, so the matrix is exactly symmetric.
     """
     vertex_count, edges = _graph_data(g)
-    d = _degrees(g)
+    d = vertex_degrees(g)
     if any(x == 0 for x in d):
         raise ValueError("normalized Laplacian needs every degree positive")
     m = np.zeros((vertex_count, vertex_count))
@@ -78,7 +69,7 @@ def normalized_laplacian(g) -> np.ndarray:
 def rational_walk_laplacian(g) -> list[list[Fraction]]:
     """Exact matrix I - D^(-1) A; similar to the normalized Laplacian."""
     vertex_count, edges = _graph_data(g)
-    d = _degrees(g)
+    d = vertex_degrees(g)
     if any(x == 0 for x in d):
         raise ValueError("walk Laplacian needs every degree positive")
     m = [[F(0)] * vertex_count for _ in range(vertex_count)]

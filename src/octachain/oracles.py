@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .exact_algebra import (
-    ConsistencyError,
-    bareiss_det_int,
-    invert_fraction_matrix,
-    leading_principal_minors,
-)
-from .graph_gen import _graph_data, is_connected
+from .exact_algebra import ConsistencyError, bareiss_det_int, invert_fraction_matrix
+from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian, rational_walk_laplacian
 
 F = Fraction
@@ -169,7 +164,20 @@ def recip_sum_from_charpoly(coeffs) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _graph_cache(fn):
+    """A bounded lru_cache keyed on the normalized ``(vertex_count, edges)``
+    pair, so a ChainGraph and a plain pair with list edges share entries."""
+    cached = lru_cache(maxsize=32)(fn)
+
+    @wraps(fn)
+    def wrapper(g):
+        return cached(_graph_data(g))
+
+    wrapper.cache_clear = cached.cache_clear
+    wrapper.cache_info = cached.cache_info
+    return wrapper
+
+
 def resistance_matrix_exact(g, ground: int = 0):
     """Effective resistance between every vertex pair, exactly.
 
@@ -205,7 +213,7 @@ def resistance_matrix_exact(g, ground: int = 0):
     )
 
 
-@lru_cache(maxsize=None)
+@_graph_cache
 def kemeny_oracle(g) -> Fraction:
     """Kemeny's constant via the exact walk-matrix characteristic polynomial."""
     if not is_connected(g):
@@ -226,10 +234,7 @@ def dk_oracle(g) -> Fraction:
     """Degree-weighted resistance sum, cross-checked against the spectral
     route 2|E| * kemeny before being returned."""
     vertex_count, edges = _graph_data(g)
-    degrees = [0] * vertex_count
-    for a, b in edges:
-        degrees[a] += 1
-        degrees[b] += 1
+    degrees = vertex_degrees(g)
     r = resistance_matrix_exact(g)
     total = sum(
         degrees[i] * degrees[j] * r[i][j]
@@ -244,14 +249,9 @@ def dk_oracle(g) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=None)
+@_graph_cache
 def spanning_trees_oracle(g) -> int:
     """Spanning tree count by an exact Laplacian cofactor."""
     lap = combinatorial_laplacian(g)
     minor = [row[1:] for row in lap[1:]]
     return bareiss_det_int(minor)
-
-
-def leading_principal_minors_exact(m) -> list[Fraction]:
-    """Exact leading principal minors of a rational matrix."""
-    return leading_principal_minors(m)

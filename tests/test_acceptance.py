@@ -104,14 +104,14 @@ def test_criterion_5_minor_ladders(capsys):
     for n in range(1, 9):
         m = 3 * n
         for phase in (0, 1, 2):
-            minors = orc.leading_principal_minors_exact(
+            minors = xa.leading_principal_minors(
                 lap.rational_phase_image("A", phase, m)
             )
             want = [cf.w_minor(phase, j) for j in range(1, m + 1)]
             if minors != want:
                 details.append(f"n={n}: w ladder mismatch in phase {phase}")
         for phase in (0, 1):
-            minors = orc.leading_principal_minors_exact(
+            minors = xa.leading_principal_minors(
                 lap.rational_phase_image("S", phase, m)
             )
             want = [cf.q_minor(phase, j) for j in range(1, m + 1)]
@@ -132,7 +132,7 @@ def test_criterion_5_minor_ladders(capsys):
             details.append(f"n={n}: quadratic coefficient (A) mismatch")
         if sum_ls != cf.coeff_t_3n_minus_1(n) or ps[1] != (-1) ** (m - 1) * sum_ls:
             details.append(f"n={n}: linear coefficient (S) mismatch")
-        det_want = F(xa.lucas_t(n) + 2, 12**n)
+        det_want = F(xa.unit_power(n)[0] + 2, 12**n)
         if cf.det_ls(n) != det_want or ps[0] != (-1) ** m * det_want:
             details.append(f"n={n}: determinant (S) mismatch")
     verdict(capsys, 5, "minor ladders and coefficients", not details, details)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -137,6 +138,19 @@ def test_table_compare_range_limits():
     assert exc.value.code == 2
 
 
+def test_table_exact_column_past_the_digit_limit(capsys):
+    # dk(10000) has a denominator of about 4480 digits
+    argv = ["table", "dk", "--from", "10000", "--to", "10000", "--format", "json"]
+    assert run_cli(argv) == 0
+    exact = json.loads(capsys.readouterr().out)["rows"][0]["exact"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(exact) == cf.dk_index(10000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_table_bad_range():
     with pytest.raises(SystemExit) as exc:
         run_cli(["table", "dk", "--from", "3", "--to", "2"])
@@ -153,6 +167,17 @@ def test_verify_passes(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     assert data["summary"]["failed"] == 0
     assert data["summary"]["total"] == len(data["checks"])
+
+
+def test_verify_unwritable_json_out_exits_2_before_running(capsys, monkeypatch, tmp_path):
+    def run_verification(n_max):
+        raise AssertionError("the suite ran before the output was opened")
+
+    monkeypatch.setattr(cli.ver, "run_verification", run_verification)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--json-out", str(tmp_path / "missing" / "r.json")])
+    assert exc.value.code == 2
+    assert "--json-out" in capsys.readouterr().err
 
 
 def test_verify_mutation_exits_1(capsys, monkeypatch):

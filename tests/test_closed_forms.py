@@ -78,6 +78,12 @@ def test_xi_dual_route_stays_consistent():
         cf.xi(n)
 
 
+def test_xi_detects_a_wrong_unit_power(monkeypatch):
+    monkeypatch.setattr(cf, "unit_power", lambda k: (2, 2))
+    with pytest.raises(xa.ConsistencyError):
+        cf.xi(3)
+
+
 def test_dk_golden():
     assert cf.dk_index(1) == F(1097, 15)
     assert cf.dk_index(2) == F(1346, 3)
@@ -104,7 +110,7 @@ def test_det_ls():
     assert cf.det_ls(1) == F(5, 6)
     assert cf.det_ls(2) == F(4, 9)
     for n in range(1, 31):
-        assert cf.det_ls(n) * 12**n == xa.lucas_t(n) + 2
+        assert cf.det_ls(n) * 12**n == xa.unit_power(n)[0] + 2
 
 
 def test_charpoly_tail_coefficients():

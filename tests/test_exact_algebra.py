@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -58,25 +59,34 @@ def test_quadext_division():
 
 
 def test_lucas_values():
-    assert [xa.lucas_t(k) for k in range(6)] == [2, 8, 62, 488, 3842, 30248]
-    assert [xa.lucas_u(k) for k in range(5)] == [0, 2, 16, 126, 992]
+    # unit_power against the recurrence s_k = 8 s_{k-1} - s_{k-2}
+    t, u = [2, 8], [0, 2]
+    for _ in range(2, 201):
+        t.append(8 * t[-1] - t[-2])
+        u.append(8 * u[-1] - u[-2])
+    assert [xa.unit_power(k) for k in range(201)] == list(zip(t, u))
+    assert t[:6] == [2, 8, 62, 488, 3842, 30248]
+    assert u[:5] == [0, 2, 16, 126, 992]
+    with pytest.raises(ValueError):
+        xa.unit_power(-1)
 
 
 def test_lucas_norm_identity():
     for k in range(41):
-        t, u = xa.lucas_t(k), xa.lucas_u(k)
+        t, u = xa.unit_power(k)
         assert t * t - 15 * u * u == 4
 
 
 def test_lucas_parity():
     # t_k + 2 must be even so the spanning-tree count is an integer
     for k in range(201):
-        assert (xa.lucas_t(k) + 2) % 2 == 0
+        assert (xa.unit_power(k)[0] + 2) % 2 == 0
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 20, 77])
 def test_quad_lucas_consistency(k):
-    assert xa.quad_to_lucas_consistency(k)
+    t, u = xa.unit_power(k)
+    assert xa.quad_pow(xa.QuadExt(4, 1), k) == xa.QuadExt(F(t, 2), F(u, 2))
 
 
 def test_bareiss_known_values():
@@ -130,6 +140,20 @@ def test_fraction_serialization():
     assert xa.frac_to_str(F(3)) == "3/1"
     assert xa.parse_frac("32/21") == F(32, 21)
     assert xa.parse_frac("7") == 7
+
+
+def test_int_to_str_past_the_digit_limit():
+    x = 7**12000  # 10142 digits, beyond the default limit of 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert xa.int_to_str(x) == want
+    assert xa.int_to_str(-x) == "-" + want
+    assert xa.int_to_str(12345) == "12345"
+    assert xa.frac_to_str(F(x, 3)) == want + "/3"
 
 
 def test_quadext_serialization():

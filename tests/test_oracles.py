@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octachain import closed_forms as cf
+from octachain import exact_algebra as xa
 from octachain import graph_gen as gg
 from octachain import laplacian as lap
 from octachain import oracles as orc
@@ -105,6 +106,13 @@ def test_k2_oracles():
     assert orc.kemeny_oracle(K2) == F(1, 2)
 
 
+def test_oracles_accept_list_edges():
+    path = (3, [(0, 1), (1, 2)])
+    assert orc.spanning_trees_oracle(path) == 1
+    assert orc.resistance_matrix_exact(path)[0][2] == 2
+    assert orc.kemeny_oracle(path) == orc.kemeny_oracle((3, ((0, 1), (1, 2))))
+
+
 def test_octagon_resistances():
     g = gg.build_linear_octagonal(1)
     r = orc.resistance_matrix_exact(g)
@@ -186,8 +194,8 @@ def test_spanning_trees_oracle():
 
 def test_leading_principal_minors_exact():
     eye = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert orc.leading_principal_minors_exact(eye) == [1, 1, 1, 1]
-    mins = orc.leading_principal_minors_exact(lap.rational_phase_image("A", 0, 6))
+    assert xa.leading_principal_minors(eye) == [1, 1, 1, 1]
+    mins = xa.leading_principal_minors(lap.rational_phase_image("A", 0, 6))
     assert mins == [F(2, 3), F(1, 2), F(1, 3), F(5, 36), F(1, 12), F(7, 144)]
 
 
