@@ -32,7 +32,6 @@ from functools import lru_cache
 from .exact_algebra import (
     ConsistencyError,
     QuadExt,
-    frac_to_sig_str,
     frac_to_str,
     quad_pow,
     unit_power,
@@ -244,13 +243,17 @@ class SpectralSummary:
 
 
 def spectral_summary(n: int) -> SpectralSummary:
+    """Every index for one n, with xi(n) evaluated once: kemeny and dk are
+    derived from it as in :func:`kemeny` and :func:`dk_index`."""
     _require_positive(n)
+    alpha, rho = sum_recip_alpha(n), xi(n)
+    k = alpha + rho
     return SpectralSummary(
         n=n,
-        sum_recip_alpha=sum_recip_alpha(n),
-        sum_recip_rho=xi(n),
-        dk=dk_index(n),
-        kemeny=kemeny(n),
+        sum_recip_alpha=alpha,
+        sum_recip_rho=rho,
+        dk=14 * n * k,
+        kemeny=k,
         tau=spanning_trees(n),
     )
 
@@ -262,7 +265,7 @@ def summary_json(s: SpectralSummary) -> str:
             "sum_recip_alpha": frac_to_str(s.sum_recip_alpha),
             "xi": frac_to_str(s.sum_recip_rho),
             "dk": frac_to_str(s.dk),
-            "dk_decimal": float(frac_to_sig_str(s.dk, 15)),
+            "dk_decimal": float(s.dk),
             "kemeny": frac_to_str(s.kemeny),
             "tau": str(s.tau),
         }

@@ -1,7 +1,7 @@
 """Exact arithmetic building blocks.
 
 Everything downstream that claims to be "exact" bottoms out here: rational
-matrix elimination (determinants, minors, inverses, rank), arithmetic in the
+matrix elimination (determinants, minors, inverses), arithmetic in the
 quadratic field Q(sqrt(15)), integer powers of the fundamental unit
 4 + sqrt(15), and string/decimal rendering of integers and rationals.
 All rational work uses :class:`fractions.Fraction`; integer determinants use
@@ -10,7 +10,6 @@ Bareiss elimination so intermediate values stay integral.
 
 from __future__ import annotations
 
-import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -249,31 +248,6 @@ def invert_fraction_matrix(m: Sequence[Sequence]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
-def rank_fraction(m: Sequence[Sequence]) -> int:
-    """Rank of a rational matrix by exact row reduction."""
-    a = _fraction_rows(m)
-    if not a:
-        return 0
-    n_rows, n_cols = len(a), len(a[0])
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if a[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        pivot = a[rank][col]
-        for i in range(rank + 1, n_rows):
-            if a[i][col] == 0:
-                continue
-            factor = a[i][col] / pivot
-            for j in range(col, n_cols):
-                a[i][j] -= factor * a[rank][j]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -302,25 +276,6 @@ def frac_to_str(q: Fraction) -> str:
     return f"{int_to_str(q.numerator)}/{int_to_str(q.denominator)}"
 
 
-def parse_frac(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
-def parse_quadext(text: str) -> QuadExt:
-    """Parse the "p/q + r/s*sqrt15" rendering produced by str(QuadExt)."""
-    body, star, tail = text.strip().rpartition("*")
-    if star != "*" or tail != "sqrt15":
-        raise ValueError(f"not a Q(sqrt(15)) literal: {text!r}")
-    head, sep, b_part = body.partition(" + ")
-    b_sign = 1
-    if not sep:
-        head, sep, b_part = body.partition(" - ")
-        b_sign = -1
-    if not sep:
-        raise ValueError(f"not a Q(sqrt(15)) literal: {text!r}")
-    return QuadExt(parse_frac(head), b_sign * parse_frac(b_part))
-
-
 def frac_to_decimal_str(q: Fraction, places: int) -> str:
     """Fixed-point decimal rendering with banker's (half-even) rounding.
 
@@ -342,15 +297,3 @@ def frac_to_decimal_str(q: Fraction, places: int) -> str:
     if places == 0:
         return f"{sign}{digits}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-def frac_to_sig_str(q: Fraction, sig: int) -> str:
-    """Plain decimal rendering rounded to `sig` significant digits."""
-    q = _as_fraction(q)
-    if sig < 1:
-        raise ValueError("need at least one significant digit")
-    with decimal.localcontext() as ctx:
-        ctx.prec = sig
-        ctx.rounding = decimal.ROUND_HALF_EVEN
-        value = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-    return f"{value:f}"

@@ -125,33 +125,16 @@ def _position_degree(pos: int) -> int:
     return 3 if pos % 3 == 1 else 2
 
 
-def phase_tridiagonal(family: str, phase: int, m: int) -> np.ndarray:
-    """The order-m tridiagonal section of a block, started at offset `phase`.
-
-    Row i (1-based) corresponds to chain position i + phase: the diagonal
-    carries the rung coupling (2/3 or 4/3 instead of 1) at positions
-    1 mod 3, and the bond below position p is -1/2 when p = 2 mod 3 and
-    -1/sqrt(6) otherwise.
-    """
-    _check_phase(family, phase, m)
-    out = np.zeros((m, m))
-    for i in range(1, m + 1):
-        pos = i + phase
-        out[i - 1, i - 1] = (
-            float(_SPECIAL_DIAG[family]) if pos % 3 == 1 else 1.0
-        )
-        if i < m:
-            bond = -0.5 if pos % 3 == 2 else -1.0 / math.sqrt(6.0)
-            out[i - 1, i] = out[i, i - 1] = bond
-    return out
-
-
 def rational_phase_image(family: str, phase: int, m: int) -> list[list[Fraction]]:
-    """Rational similarity image of :func:`phase_tridiagonal`.
+    """Rational image of the order-m tridiagonal section of a block,
+    started at chain offset `phase`.
 
-    Conjugation by diag(sqrt(d)) sends the entry at (i, j) to
-    -1/d_j while fixing the diagonal; it preserves the characteristic
-    polynomial and every leading principal minor.
+    Row i (1-based) is chain position i + phase.  The normalized section
+    carries the rung coupling (2/3 or 4/3 instead of 1) on the diagonal at
+    positions 1 mod 3, and the bond -1/sqrt(d_i d_j) between neighbours;
+    conjugation by diag(sqrt(d)) sends the entry at (i, j) to -1/d_j while
+    fixing the diagonal, which preserves the characteristic polynomial and
+    every leading principal minor.
     """
     _check_phase(family, phase, m)
     out = [[F(0)] * m for _ in range(m)]
@@ -172,48 +155,3 @@ def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
     out[0][m - 1] = F(sign, _position_degree(m))
     out[m - 1][0] = F(sign, _position_degree(1))
     return out
-
-
-def mirror_fold_check(n: int, tol: float = 1e-8) -> bool:
-    """Conjugate the full Laplacian by the folding matrix and verify that
-    the off-diagonal blocks vanish and the diagonal blocks are the two
-    block matrices."""
-    m = 3 * n
-    full = normalized_laplacian(build_moebius_octagonal(n))
-    eye = np.eye(m)
-    u = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
-    folded = u @ full @ u.T
-    b = block_decompose(n)
-    return (
-        np.max(np.abs(folded[:m, m:])) <= tol
-        and np.max(np.abs(folded[m:, :m])) <= tol
-        and np.max(np.abs(folded[:m, :m] - b.l_a)) <= tol
-        and np.max(np.abs(folded[m:, m:] - b.l_s)) <= tol
-    )
-
-
-def decomposition_check(n: int, tol: float = 1e-8) -> bool:
-    """Full spectrum against the union of the two block spectra."""
-    from . import oracles  # local import; oracles builds on this module
-
-    g = build_moebius_octagonal(n)
-    full = oracles.eigenvalues_symmetric(normalized_laplacian(g))
-    b = block_decompose(n)
-    union = sorted(
-        oracles.eigenvalues_symmetric(b.l_a) + oracles.eigenvalues_symmetric(b.l_s)
-    )
-    return len(full) == len(union) and all(
-        abs(x - y) <= tol for x, y in zip(full, union)
-    )
-
-
-def matrix_csv(m) -> str:
-    """Sparse "i,j,value" listing (row-major, nonzero entries, 17 significant
-    digits, no header)."""
-    arr = np.asarray(m, dtype=float)
-    lines = []
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            if arr[i, j] != 0.0:
-                lines.append(f"{i},{j},{arr[i, j]:.17g}")
-    return "".join(line + "\n" for line in lines)

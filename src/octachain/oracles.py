@@ -221,15 +221,6 @@ def kemeny_oracle(g) -> Fraction:
     return recip_sum_from_charpoly(charpoly_exact(rational_walk_laplacian(g)))
 
 
-def kf_oracle(g) -> Fraction:
-    """Kirchhoff index: sum of resistances over unordered vertex pairs."""
-    r = resistance_matrix_exact(g)
-    vertex_count = len(r)
-    return sum(
-        r[i][j] for i in range(vertex_count) for j in range(i + 1, vertex_count)
-    )
-
-
 def dk_oracle(g) -> Fraction:
     """Degree-weighted resistance sum, cross-checked against the spectral
     route 2|E| * kemeny before being returned."""

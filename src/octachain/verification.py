@@ -7,14 +7,22 @@ eigenvalue sums against Vieta ratios, tree counts and resistance indices
 against brute-force oracles, the spectrum split against numeric eigenvalues,
 and the computed values against the published tables.
 
+The suite is the table ``_CHECKS`` of named checks.  Each check reads a
+per-``n`` context, ``_Chain``, whose shared artifacts (the graph, the rational
+block images and their characteristic polynomials, the bipartition, the
+Kemeny oracle value, the full spectrum) are built on first use and then
+reused, and returns the fields of its :class:`CheckResult`.  Vector checks
+report their first three mismatches with both values.
+
 Checks against the published degree-weighted-resistance table are marked
 ``informational`` for n >= 2: those rows are known not to match the closed
 form, while both independent oracles *do* match it, so a mismatch there must
 not fail verification (and is still reported).
 
-Collaborators are always reached through their modules (``cf.dk_index`` and
-so on), which keeps the layer honest under fixture mutation: patching a
-single closed form or table entry is guaranteed to flip a check.
+Collaborators are always reached through their modules at call time
+(``cf.dk_index`` and so on), which keeps the layer honest under fixture
+mutation: patching a single closed form or table entry is guaranteed to flip
+a check.
 """
 
 from __future__ import annotations
@@ -22,6 +30,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Callable
 
 from . import closed_forms as cf
 from . import exact_algebra as xa
@@ -29,8 +39,6 @@ from . import graph_gen as gg
 from . import laplacian as lap
 from . import oracles as orc
 from . import reference_data as ref
-
-F = Fraction
 
 
 @dataclass(frozen=True)
@@ -62,283 +70,236 @@ def _deleted_det(image, x: int) -> Fraction:
     return xa.det_fraction(sub)
 
 
-def _vector_result(mismatches: list[str]) -> tuple[bool, str]:
-    if not mismatches:
-        return True, "match"
-    return False, "; ".join(mismatches[:3])
+class _Chain:
+    """The artifacts of one chain size, each built on first use and shared."""
+
+    def __init__(self, n: int, eigen_tol: float):
+        self.n = n
+        self.m = 3 * n
+        self.eigen_tol = eigen_tol
+
+    @cached_property
+    def graph(self):
+        return gg.build_moebius_octagonal(self.n)
+
+    @cached_property
+    def image_a(self) -> list[list[Fraction]]:
+        return lap.rational_block_image(self.n, "A")
+
+    @cached_property
+    def image_s(self) -> list[list[Fraction]]:
+        return lap.rational_block_image(self.n, "S")
+
+    @cached_property
+    def pa(self) -> list[Fraction]:
+        return orc.charpoly_exact(self.image_a)
+
+    @cached_property
+    def ps(self) -> list[Fraction]:
+        return orc.charpoly_exact(self.image_s)
+
+    @cached_property
+    def bipartite(self) -> tuple[bool, list[int]]:
+        return gg.is_bipartite(self.graph)
+
+    @cached_property
+    def kemeny(self) -> Fraction:
+        return orc.kemeny_oracle(self.graph)
+
+    @cached_property
+    def spectrum(self) -> list[float]:
+        return orc.eigenvalues_symmetric(lap.normalized_laplacian(self.graph))
+
+
+# A check maps a _Chain to the CheckResult fields after name and n, or to
+# None where it does not apply; "mode" and "tolerance" default to exact.
+
+
+def _exact(expected, actual, render=xa.frac_to_str) -> dict:
+    return {
+        "expected": render(expected),
+        "actual": render(actual),
+        "passed": bool(expected == actual),
+    }
+
+
+def _ladder(label: str, m: int, expected, actual) -> dict:
+    """Compare expected(i) with actual(i) for i = 1..m; the first three
+    mismatches are reported with both values."""
+    bad = []
+    for i in range(1, m + 1):
+        want, got = expected(i), actual(i)
+        if want != got:
+            bad.append(
+                f"{label}={i}: expected {xa.frac_to_str(want)}, "
+                f"got {xa.frac_to_str(got)}"
+            )
+    return {
+        "expected": "match",
+        "actual": "; ".join(bad[:3]) or "match",
+        "passed": not bad,
+    }
+
+
+def _leading_minors(c: _Chain, closed, family: str, phase: int) -> dict:
+    minors = xa.leading_principal_minors(lap.rational_phase_image(family, phase, c.m))
+    return _ladder("j", c.m, lambda j: closed(phase, j), lambda j: minors[j - 1])
+
+
+def _deleted_minors(c: _Chain, closed, image) -> dict:
+    return _ladder(
+        "x", c.m, lambda x: closed(x, c.n), lambda x: _deleted_det(image, x)
+    )
+
+
+def _minor_sum(c: _Chain, closed, minor) -> dict:
+    return _exact(closed(c.n), sum(minor(x, c.n) for x in range(1, c.m + 1)))
+
+
+def _coeff(poly: list[Fraction], k: int, magnitude: Fraction) -> dict:
+    """det(zI - M) has z**k coefficient (-1)**(order - k) * magnitude."""
+    return _exact((-1) ** (len(poly) - 1 - k) * magnitude, poly[k])
+
+
+def _bipartite_parity(c: _Chain) -> dict:
+    g = c.graph
+    flag, cert = c.bipartite
+    edge_set = set(g.edges)
+    if flag:
+        cert_ok = len(cert) == g.vertex_count and all(
+            cert[a] != cert[b] for a, b in g.edges
+        )
+    else:
+        cert_ok = len(cert) % 2 == 1 and all(
+            tuple(sorted((cert[i], cert[(i + 1) % len(cert)]))) in edge_set
+            for i in range(len(cert))
+        )
+    return {
+        "expected": f"bipartite={c.n % 2 == 1}, certificate valid",
+        "actual": f"bipartite={flag}, certificate {'valid' if cert_ok else 'INVALID'}",
+        "passed": flag == (c.n % 2 == 1) and cert_ok,
+    }
+
+
+def _block_spectrum_union(c: _Chain) -> dict:
+    blocks = lap.block_decompose(c.n)
+    union = sorted(
+        orc.eigenvalues_symmetric(blocks.l_a)
+        + orc.eigenvalues_symmetric(blocks.l_s)
+    )
+    worst = max(abs(a - b) for a, b in zip(c.spectrum, union))
+    return {
+        "expected": f"gap <= {c.eigen_tol:g}",
+        "actual": f"gap {worst:.3e}",
+        "mode": "numeric",
+        "tolerance": c.eigen_tol,
+        "passed": len(c.spectrum) == len(union) and worst <= c.eigen_tol,
+    }
+
+
+def _lambda_max_bipartite(c: _Chain) -> dict:
+    lam_max = c.spectrum[-1]
+    if c.bipartite[0]:
+        passed = abs(lam_max - 2.0) <= c.eigen_tol
+        expected = "max eigenvalue == 2 (bipartite)"
+    else:
+        passed = lam_max < 2.0 - c.eigen_tol
+        expected = "max eigenvalue < 2 (not bipartite)"
+    return {
+        "expected": expected,
+        "actual": f"max eigenvalue {lam_max:.12f}",
+        "mode": "numeric",
+        "tolerance": c.eigen_tol,
+        "passed": passed,
+    }
+
+
+def _published_dk(c: _Chain) -> dict | None:
+    if c.n not in ref.PUBLISHED_DK:
+        return None
+    rendered = xa.frac_to_decimal_str(cf.dk_index(c.n), 2)
+    return _exact(ref.PUBLISHED_DK[c.n], rendered, str) | {
+        "informational": c.n >= 2,
+        "note": (
+            None
+            if c.n == 1
+            else "published row known to diverge; both oracles "
+            "confirm the computed value"
+        ),
+    }
+
+
+def _published_trees(c: _Chain) -> dict | None:
+    if c.n not in ref.PUBLISHED_TREES:
+        return None
+    return _exact(ref.PUBLISHED_TREES[c.n], cf.spanning_trees(c.n), str) | {
+        "note": ref.TREE_NORMALIZATION_NOTES.get(c.n)
+    }
+
+
+_CHECKS: list[tuple[str, Callable[[_Chain], dict | None]]] = [
+    # structure
+    ("bipartite_parity", _bipartite_parity),
+    (
+        "degree_product",
+        lambda c: _exact(
+            2 ** (4 * c.n) * 3 ** (2 * c.n), gg.degree_product(c.graph), str
+        ),
+    ),
+    # minor ladders
+    ("w_minors_phase0", lambda c: _leading_minors(c, cf.w_minor, "A", 0)),
+    ("w_minors_phase1", lambda c: _leading_minors(c, cf.w_minor, "A", 1)),
+    ("w_minors_phase2", lambda c: _leading_minors(c, cf.w_minor, "A", 2)),
+    ("q_minors_phase0", lambda c: _leading_minors(c, cf.q_minor, "S", 0)),
+    ("q_minors_phase1", lambda c: _leading_minors(c, cf.q_minor, "S", 1)),
+    # vertex-deleted determinants
+    ("la_deleted_minors", lambda c: _deleted_minors(c, cf.minor_det_la, c.image_a)),
+    ("ls_deleted_minors", lambda c: _deleted_minors(c, cf.minor_det_ls, c.image_s)),
+    ("la_minor_sum", lambda c: _minor_sum(c, cf.coeff_d_3n_minus_1, cf.minor_det_la)),
+    ("ls_minor_sum", lambda c: _minor_sum(c, cf.coeff_t_3n_minus_1, cf.minor_det_ls)),
+    # characteristic polynomial coefficients
+    ("la_coeff_z1", lambda c: _coeff(c.pa, 1, cf.coeff_d_3n_minus_1(c.n))),
+    ("la_coeff_z2", lambda c: _coeff(c.pa, 2, cf.coeff_d_3n_minus_2(c.n))),
+    ("ls_coeff_z1", lambda c: _coeff(c.ps, 1, cf.coeff_t_3n_minus_1(c.n))),
+    ("ls_determinant", lambda c: _exact(cf.det_ls(c.n), xa.det_fraction(c.image_s))),
+    # reciprocal sums and walk indices
+    (
+        "recip_alpha_vieta",
+        lambda c: _exact(cf.sum_recip_alpha(c.n), orc.recip_sum_from_charpoly(c.pa)),
+    ),
+    ("xi_vieta", lambda c: _exact(cf.xi(c.n), orc.recip_sum_from_charpoly(c.ps))),
+    ("kemeny_oracle_match", lambda c: _exact(cf.kemeny(c.n), c.kemeny)),
+    ("dk_charpoly_route", lambda c: _exact(cf.dk_index(c.n), 14 * c.n * c.kemeny)),
+    (
+        "dk_resistance_route",
+        lambda c: _exact(cf.dk_index(c.n), orc.dk_oracle(c.graph)),
+    ),
+    (
+        "tree_count_oracle",
+        lambda c: _exact(
+            cf.spanning_trees(c.n), orc.spanning_trees_oracle(c.graph), str
+        ),
+    ),
+    # numeric spectrum
+    ("block_spectrum_union", _block_spectrum_union),
+    ("lambda_max_bipartite", _lambda_max_bipartite),
+    # published tables
+    ("published_dk", _published_dk),
+    ("published_trees", _published_trees),
+]
 
 
 def run_verification(n_max: int, eigen_tol: float = 1e-8) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     checks: list[CheckResult] = []
-
-    def add(
-        name,
-        n,
-        passed,
-        expected,
-        actual,
-        mode="exact",
-        tolerance=None,
-        informational=False,
-        note=None,
-    ):
-        checks.append(
-            CheckResult(
-                name=name,
-                n=n,
-                expected=str(expected),
-                actual=str(actual),
-                mode=mode,
-                tolerance=tolerance,
-                passed=bool(passed),
-                informational=informational,
-                note=note,
-            )
-        )
-
     for n in range(1, n_max + 1):
-        g = gg.build_moebius_octagonal(n)
-        m = 3 * n
-        image_a = lap.rational_block_image(n, "A")
-        image_s = lap.rational_block_image(n, "S")
-        pa = orc.charpoly_exact(image_a)
-        ps = orc.charpoly_exact(image_s)
-
-        # --- structural checks -------------------------------------------
-        flag, cert = gg.is_bipartite(g)
-        edge_set = set(g.edges)
-        if flag:
-            cert_ok = len(cert) == g.vertex_count and all(
-                cert[a] != cert[b] for a, b in g.edges
-            )
-        else:
-            cert_ok = len(cert) % 2 == 1 and all(
-                tuple(sorted((cert[i], cert[(i + 1) % len(cert)]))) in edge_set
-                for i in range(len(cert))
-            )
-        add(
-            "bipartite_parity",
-            n,
-            flag == (n % 2 == 1) and cert_ok,
-            f"bipartite={n % 2 == 1}, certificate valid",
-            f"bipartite={flag}, certificate {'valid' if cert_ok else 'INVALID'}",
-        )
-
-        product = gg.degree_product(g)
-        add(
-            "degree_product",
-            n,
-            product == 2 ** (4 * n) * 3 ** (2 * n),
-            2 ** (4 * n) * 3 ** (2 * n),
-            product,
-        )
-
-        # --- minor ladders -----------------------------------------------
-        for phase in (0, 1, 2):
-            minors = xa.leading_principal_minors(
-                lap.rational_phase_image("A", phase, m)
-            )
-            bad = [
-                f"j={j}"
-                for j in range(1, m + 1)
-                if minors[j - 1] != cf.w_minor(phase, j)
-            ]
-            ok, detail = _vector_result(bad)
-            add(f"w_minors_phase{phase}", n, ok, "match", detail)
-        for phase in (0, 1):
-            minors = xa.leading_principal_minors(
-                lap.rational_phase_image("S", phase, m)
-            )
-            bad = [
-                f"j={j}"
-                for j in range(1, m + 1)
-                if minors[j - 1] != cf.q_minor(phase, j)
-            ]
-            ok, detail = _vector_result(bad)
-            add(f"q_minors_phase{phase}", n, ok, "match", detail)
-
-        # --- vertex-deleted determinants ----------------------------------
-        bad = [
-            f"x={x}"
-            for x in range(1, m + 1)
-            if _deleted_det(image_a, x) != cf.minor_det_la(x, n)
-        ]
-        ok, detail = _vector_result(bad)
-        add("la_deleted_minors", n, ok, "match", detail)
-
-        bad = [
-            f"x={x}"
-            for x in range(1, m + 1)
-            if _deleted_det(image_s, x) != cf.minor_det_ls(x, n)
-        ]
-        ok, detail = _vector_result(bad)
-        add("ls_deleted_minors", n, ok, "match", detail)
-
-        la_sum = sum(cf.minor_det_la(x, n) for x in range(1, m + 1))
-        add(
-            "la_minor_sum",
-            n,
-            la_sum == cf.coeff_d_3n_minus_1(n),
-            xa.frac_to_str(cf.coeff_d_3n_minus_1(n)),
-            xa.frac_to_str(la_sum),
-        )
-        ls_sum = sum(cf.minor_det_ls(x, n) for x in range(1, m + 1))
-        add(
-            "ls_minor_sum",
-            n,
-            ls_sum == cf.coeff_t_3n_minus_1(n),
-            xa.frac_to_str(cf.coeff_t_3n_minus_1(n)),
-            xa.frac_to_str(ls_sum),
-        )
-
-        # --- characteristic polynomial coefficients ------------------------
-        sign1 = (-1) ** (m - 1)
-        add(
-            "la_coeff_z1",
-            n,
-            pa[1] == sign1 * cf.coeff_d_3n_minus_1(n),
-            xa.frac_to_str(sign1 * cf.coeff_d_3n_minus_1(n)),
-            xa.frac_to_str(pa[1]),
-        )
-        sign2 = (-1) ** (m - 2)
-        add(
-            "la_coeff_z2",
-            n,
-            pa[2] == sign2 * cf.coeff_d_3n_minus_2(n),
-            xa.frac_to_str(sign2 * cf.coeff_d_3n_minus_2(n)),
-            xa.frac_to_str(pa[2]),
-        )
-        add(
-            "ls_coeff_z1",
-            n,
-            ps[1] == sign1 * cf.coeff_t_3n_minus_1(n),
-            xa.frac_to_str(sign1 * cf.coeff_t_3n_minus_1(n)),
-            xa.frac_to_str(ps[1]),
-        )
-        det_s = xa.det_fraction(image_s)
-        add(
-            "ls_determinant",
-            n,
-            det_s == cf.det_ls(n),
-            xa.frac_to_str(cf.det_ls(n)),
-            xa.frac_to_str(det_s),
-        )
-
-        # --- reciprocal sums and walk indices ------------------------------
-        alpha_ratio = orc.recip_sum_from_charpoly(pa)
-        add(
-            "recip_alpha_vieta",
-            n,
-            alpha_ratio == cf.sum_recip_alpha(n),
-            xa.frac_to_str(cf.sum_recip_alpha(n)),
-            xa.frac_to_str(alpha_ratio),
-        )
-        rho_ratio = orc.recip_sum_from_charpoly(ps)
-        add(
-            "xi_vieta",
-            n,
-            rho_ratio == cf.xi(n),
-            xa.frac_to_str(cf.xi(n)),
-            xa.frac_to_str(rho_ratio),
-        )
-
-        kemeny_value = orc.kemeny_oracle(g)
-        add(
-            "kemeny_oracle_match",
-            n,
-            kemeny_value == cf.kemeny(n),
-            xa.frac_to_str(cf.kemeny(n)),
-            xa.frac_to_str(kemeny_value),
-        )
-        add(
-            "dk_charpoly_route",
-            n,
-            14 * n * kemeny_value == cf.dk_index(n),
-            xa.frac_to_str(cf.dk_index(n)),
-            xa.frac_to_str(14 * n * kemeny_value),
-        )
-        dk_value = orc.dk_oracle(g)
-        add(
-            "dk_resistance_route",
-            n,
-            dk_value == cf.dk_index(n),
-            xa.frac_to_str(cf.dk_index(n)),
-            xa.frac_to_str(dk_value),
-        )
-
-        trees = orc.spanning_trees_oracle(g)
-        add(
-            "tree_count_oracle",
-            n,
-            trees == cf.spanning_trees(n),
-            cf.spanning_trees(n),
-            trees,
-        )
-
-        # --- numeric spectrum checks ---------------------------------------
-        blocks = lap.block_decompose(n)
-        full = orc.eigenvalues_symmetric(lap.normalized_laplacian(g))
-        union = sorted(
-            orc.eigenvalues_symmetric(blocks.l_a)
-            + orc.eigenvalues_symmetric(blocks.l_s)
-        )
-        worst = max(abs(a - b) for a, b in zip(full, union))
-        add(
-            "block_spectrum_union",
-            n,
-            len(full) == len(union) and worst <= eigen_tol,
-            f"gap <= {eigen_tol:g}",
-            f"gap {worst:.3e}",
-            mode="numeric",
-            tolerance=eigen_tol,
-        )
-
-        lam_max = full[-1]
-        if flag:
-            lam_ok = abs(lam_max - 2.0) <= eigen_tol
-            expected_edge = "max eigenvalue == 2 (bipartite)"
-        else:
-            lam_ok = lam_max < 2.0 - eigen_tol
-            expected_edge = "max eigenvalue < 2 (not bipartite)"
-        add(
-            "lambda_max_bipartite",
-            n,
-            lam_ok,
-            expected_edge,
-            f"max eigenvalue {lam_max:.12f}",
-            mode="numeric",
-            tolerance=eigen_tol,
-        )
-
-        # --- published tables ----------------------------------------------
-        if n in ref.PUBLISHED_DK:
-            rendered = xa.frac_to_decimal_str(cf.dk_index(n), 2)
-            published = ref.PUBLISHED_DK[n]
-            add(
-                "published_dk",
-                n,
-                rendered == published,
-                published,
-                rendered,
-                informational=n >= 2,
-                note=(
-                    None
-                    if n == 1
-                    else "published row known to diverge; both oracles "
-                    "confirm the computed value"
-                ),
-            )
-        if n in ref.PUBLISHED_TREES:
-            add(
-                "published_trees",
-                n,
-                cf.spanning_trees(n) == ref.PUBLISHED_TREES[n],
-                ref.PUBLISHED_TREES[n],
-                cf.spanning_trees(n),
-                note=ref.TREE_NORMALIZATION_NOTES.get(n),
-            )
+        chain = _Chain(n, eigen_tol)
+        for name, check in _CHECKS:
+            fields = check(chain)
+            if fields is not None:
+                fields = {"mode": "exact", "tolerance": None} | fields
+                checks.append(CheckResult(name=name, n=n, **fields))
 
     checks.sort(key=lambda c: (c.name, c.n))
     failed = sum(1 for c in checks if not c.passed and not c.informational)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -167,6 +168,20 @@ def test_verify_passes(capsys, tmp_path):
     data = json.loads(out_file.read_text())
     assert data["summary"]["failed"] == 0
     assert data["summary"]["total"] == len(data["checks"])
+
+
+def test_verify_golden_output(capsys, tmp_path):
+    # SHA-256 of the stdout and the --json-out report of `verify --n-max 3`;
+    # any change to a check name, verdict, rendering or key order shows here
+    out_file = tmp_path / "report.json"
+    assert run_cli(["verify", "--n-max", "3", "--json-out", str(out_file)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == (
+        "16103e4e670b0bad091267d2cb84c7ebab810c2a8dcc1f52b2f61b3246c8d6bd"
+    )
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == (
+        "cb3226e45e2e3dcffdcebeb55294e8c873595f64725329f4b82787b6c2750f66"
+    )
 
 
 def test_verify_unwritable_json_out_exits_2_before_running(capsys, monkeypatch, tmp_path):

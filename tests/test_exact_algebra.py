@@ -128,18 +128,10 @@ def test_invert_fraction_matrix():
         xa.invert_fraction_matrix([[1, 1], [1, 1]])
 
 
-def test_rank_fraction():
-    assert xa.rank_fraction([[1, 1], [1, 1]]) == 1
-    assert xa.rank_fraction([[1, 0], [0, 1]]) == 2
-    assert xa.rank_fraction([[0, 0], [0, 0]]) == 0
-
-
 def test_fraction_serialization():
     assert xa.frac_to_str(F(32, 21)) == "32/21"
     assert xa.frac_to_str(F(-5, 6)) == "-5/6"
     assert xa.frac_to_str(F(3)) == "3/1"
-    assert xa.parse_frac("32/21") == F(32, 21)
-    assert xa.parse_frac("7") == 7
 
 
 def test_int_to_str_past_the_digit_limit():
@@ -159,9 +151,7 @@ def test_int_to_str_past_the_digit_limit():
 def test_quadext_serialization():
     x = xa.QuadExt(F(1, 3), F(1, 12))
     assert str(x) == "1/3 + 1/12*sqrt15"
-    assert xa.parse_quadext(str(x)) == x
-    y = xa.QuadExt(F(1, 2), F(-3, 20))
-    assert xa.parse_quadext(str(y)) == y
+    assert str(xa.QuadExt(F(1, 2), F(-3, 20))) == "1/2 - 3/20*sqrt15"
 
 
 def test_decimal_rendering_half_even():
@@ -169,8 +159,3 @@ def test_decimal_rendering_half_even():
     assert xa.frac_to_decimal_str(F(1, 8), 2) == "0.12"
     assert xa.frac_to_decimal_str(F(3, 8), 2) == "0.38"
     assert xa.frac_to_decimal_str(F(5), 2) == "5.00"
-
-
-def test_significant_digit_rendering():
-    s = xa.frac_to_sig_str(F(1097, 15), 15)
-    assert s == "73.1333333333333"

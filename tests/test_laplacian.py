@@ -26,7 +26,7 @@ def test_laplacian_row_sums_and_rank():
         g = gg.build_moebius_octagonal(n)
         L = lap.combinatorial_laplacian(g)
         assert all(sum(row) == 0 for row in L)
-        assert xa.rank_fraction(L) == 6 * n - 1
+        assert np.linalg.matrix_rank(np.array(L, dtype=float)) == 6 * n - 1
 
 
 def test_normalized_laplacian_entries():
@@ -106,14 +106,38 @@ def test_la_zero_mode():
 
 
 def test_mirror_fold_block_diagonalizes():
+    # conjugating by U = [[I, I], [I, -I]] / sqrt(2) leaves diag(l_a, l_s)
     for n in range(1, 7):
-        assert lap.mirror_fold_check(n)
+        m = 3 * n
+        full = lap.normalized_laplacian(gg.build_moebius_octagonal(n))
+        eye = np.eye(m)
+        u = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
+        folded = u @ full @ u.T
+        b = lap.block_decompose(n)
+        assert np.max(np.abs(folded[:m, m:])) <= 1e-8
+        assert np.max(np.abs(folded[m:, :m])) <= 1e-8
+        assert np.max(np.abs(folded[:m, :m] - b.l_a)) <= 1e-8
+        assert np.max(np.abs(folded[m:, m:] - b.l_s)) <= 1e-8
+
+
+def phase_tridiagonal(family, phase, m):
+    """Float order-m section of a normalized block, started at `phase`: the
+    rung coupling 2/3 (A) or 4/3 (S) on the diagonal at positions 1 mod 3,
+    bond -1/2 below positions 2 mod 3 and -1/sqrt(6) elsewhere."""
+    out = np.eye(m)
+    for i in range(1, m + 1):
+        pos = i + phase
+        if pos % 3 == 1:
+            out[i - 1, i - 1] = {"A": 2 / 3, "S": 4 / 3}[family]
+        if i < m:
+            out[i - 1, i] = out[i, i - 1] = -0.5 if pos % 3 == 2 else -S6
+    return out
 
 
 def test_phase_tridiagonal_golden():
-    m = lap.phase_tridiagonal("A", 0, 3)
+    m = phase_tridiagonal("A", 0, 3)
     assert np.allclose(m, [[2 / 3, -S6, 0], [-S6, 1, -0.5], [0, -0.5, 1]])
-    assert lap.phase_tridiagonal("A", 1, 2).tolist() == [[1, -0.5], [-0.5, 1]]
+    assert phase_tridiagonal("A", 1, 2).tolist() == [[1, -0.5], [-0.5, 1]]
 
 
 def test_phase_image_minors_golden():
@@ -127,19 +151,17 @@ def test_phase_image_minors_golden():
 
 def test_phase_validity():
     with pytest.raises(ValueError):
-        lap.phase_tridiagonal("S", 2, 4)
-    with pytest.raises(ValueError):
         lap.rational_phase_image("S", 2, 4)
     with pytest.raises(ValueError):
-        lap.phase_tridiagonal("B", 0, 4)
+        lap.rational_phase_image("B", 0, 4)
 
 
 def test_rational_images_match_numeric_minors():
     # diagonal similarity keeps every leading principal minor, so the
     # exact minors must line up with numeric determinants of the floats
     cases = [
-        (lap.rational_phase_image("A", 0, 12), lap.phase_tridiagonal("A", 0, 12)),
-        (lap.rational_phase_image("S", 1, 12), lap.phase_tridiagonal("S", 1, 12)),
+        (lap.rational_phase_image("A", 0, 12), phase_tridiagonal("A", 0, 12)),
+        (lap.rational_phase_image("S", 1, 12), phase_tridiagonal("S", 1, 12)),
         (lap.rational_block_image(3, "A"), lap.block_decompose(3).l_a),
         (lap.rational_block_image(3, "S"), lap.block_decompose(3).l_s),
     ]
@@ -172,7 +194,14 @@ def test_full_spectrum_shape():
 
 def test_decomposition_check():
     for n in range(1, 11):
-        assert lap.decomposition_check(n, 1e-8)
+        g = gg.build_moebius_octagonal(n)
+        full = orc.eigenvalues_symmetric(lap.normalized_laplacian(g))
+        b = lap.block_decompose(n)
+        union = sorted(
+            orc.eigenvalues_symmetric(b.l_a) + orc.eigenvalues_symmetric(b.l_s)
+        )
+        assert len(full) == len(union)
+        assert max(abs(x - y) for x, y in zip(full, union)) <= 1e-8
 
 
 def test_block_trace_identity():
@@ -180,8 +209,3 @@ def test_block_trace_identity():
         b = lap.block_decompose(n)
         total = np.trace(b.l_a) + np.trace(b.l_s)
         assert total == pytest.approx(6 * n, abs=1e-9)
-
-
-def test_matrix_csv():
-    out = lap.matrix_csv(np.array([[1.0, 0.0], [0.5, 2.0]]))
-    assert out == "0,0,1\n1,0,0.5\n1,1,2\n"

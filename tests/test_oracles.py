@@ -101,7 +101,6 @@ def test_recip_sum_rejects_double_zero():
 def test_k2_oracles():
     r = orc.resistance_matrix_exact(K2)
     assert r[0][1] == 1
-    assert orc.kf_oracle(K2) == 1
     assert orc.dk_oracle(K2) == 1
     assert orc.kemeny_oracle(K2) == F(1, 2)
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -119,3 +120,13 @@ def test_mutated_closed_form_detected(monkeypatch):
 def test_invalid_n_max():
     with pytest.raises(ValueError):
         ver.run_verification(0)
+
+
+def test_ladder_mismatch_reports_both_values(monkeypatch):
+    monkeypatch.setattr(cf, "q_minor", lambda phase, j: Fraction(0))
+    report = ver.run_verification(1)
+    row = next(c for c in report.checks if c.name == "q_minors_phase0")
+    assert not row.passed
+    assert row.expected == "match"
+    assert row.actual.startswith("j=1: expected 0/1, got 4/3; j=2: ")
+    assert row.actual.count(";") == 2  # at most three mismatches are listed
