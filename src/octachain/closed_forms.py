@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .exact_algebra import (
     ConsistencyError,
@@ -66,7 +65,6 @@ def _unit(n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def w_minor(phase: int, j: int) -> Fraction:
     """Order-j leading principal minor of the sum-block section at `phase`.
 
@@ -113,7 +111,6 @@ _Q_COEFF = {
 }
 
 
-@lru_cache(maxsize=None)
 def q_minor(phase: int, j: int) -> Fraction:
     """Order-j leading principal minor of the difference-block section."""
     if phase not in (0, 1):

@@ -1,11 +1,12 @@
 """Exact arithmetic building blocks.
 
-Everything downstream that claims to be "exact" bottoms out here: rational
-matrix elimination (determinants, minors, inverses), arithmetic in the
+Everything downstream that claims to be "exact" bottoms out here: matrix
+elimination (determinants, leading minors, adjugates), arithmetic in the
 quadratic field Q(sqrt(15)), integer powers of the fundamental unit
 4 + sqrt(15), and string/decimal rendering of integers and rationals.
-All rational work uses :class:`fractions.Fraction`; integer determinants use
-Bareiss elimination so intermediate values stay integral.
+All matrix work goes through one fraction-free Gauss-Jordan elimination
+(Bareiss) on integer rows, so intermediate values stay integral; rational
+matrices are first cleared to integers row by row.
 """
 
 from __future__ import annotations
@@ -147,105 +148,110 @@ def unit_power(k: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra on rational matrices
+# Exact linear algebra: one fraction-free elimination
 # ---------------------------------------------------------------------------
 
 
-def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+def _bareiss(rows: list[list[int]], order: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
+
+    Clears the first `order` columns of the integer rows above and below
+    each pivot, dividing exactly by the previous pivot, and swaps rows only
+    on a zero diagonal entry.  Returns ``(pivots, swaps)``: ``pivots[k]`` is
+    the order-k leading minor of the row-swapped matrix (``pivots[0] = 1``),
+    and the list stops short of ``order + 1`` entries if those columns are
+    singular.  With M the first `order` columns and B the rest (say an
+    appended identity), a full run leaves ``pivots[-1] * M**-1 * B`` in B.
+    """
+    pivots, swaps = [1], 0
+    for k in range(order):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, order) if rows[i][k] != 0), None)
             if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                return pivots, swaps
+            rows[k], rows[swap] = rows[swap], rows[k]
+            swaps += 1
+        pivot_row, prev = rows[k], pivots[-1]
+        pivot, tail = pivot_row[k], pivot_row[k + 1 :]
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[k]
+                row[k] = 0
+                row[k + 1 :] = [
+                    (pivot * x - factor * y) // prev
+                    for x, y in zip(row[k + 1 :], tail)
+                ]
+        pivots.append(pivot)
+    return pivots, swaps
 
 
-def _fraction_rows(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[_as_fraction(x) for x in row] for row in m]
+def _square_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    a = [[int(x) for x in row] for row in rows]
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix must be square")
+    return a
+
+
+def _cleared_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Integer rows of a rational matrix, each row multiplied by its
+    denominator lcm, and those row scales."""
+    rows, scales = [], []
+    for row in m:
+        row = [_as_fraction(x) for x in row]
+        scales.append(math.lcm(*(x.denominator for x in row)))
+        rows.append([x.numerator * (scales[-1] // x.denominator) for x in row])
+    return rows, scales
+
+
+def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free elimination."""
+    a = _square_int_rows(rows)
+    pivots, swaps = _bareiss(a, len(a))
+    return (-1) ** swaps * pivots[-1] if len(pivots) > len(a) else 0
 
 
 def det_fraction(m: Sequence[Sequence]) -> Fraction:
     """Determinant of a rational matrix, exactly.
 
     Each row is scaled to integers by its denominator lcm, the integer
-    determinant is taken with Bareiss elimination, and the scaling is undone.
+    determinant is taken with :func:`bareiss_det_int`, and the scaling is
+    undone.
     """
-    rows = _fraction_rows(m)
-    if not rows:
-        return Fraction(1)
-    scale = 1
-    int_rows = []
-    for row in rows:
-        l = math.lcm(*(x.denominator for x in row)) if row else 1
-        scale *= l
-        int_rows.append([int(x * l) for x in row])
-    return Fraction(bareiss_det_int(int_rows), scale)
+    rows, scales = _cleared_rows(m)
+    return Fraction(bareiss_det_int(rows), math.prod(scales))
 
 
 def leading_principal_minors(m: Sequence[Sequence]) -> list[Fraction]:
     """All leading principal minors det(m[:k, :k]) for k = 1..n.
 
-    Uses pivot products from a no-swap LU pass; if a zero pivot shows up the
-    minors are recomputed one by one (swaps would corrupt the running
-    products).
+    They are the pivots of one elimination of the row-cleared matrix, each
+    divided by the scales of its rows.  If elimination had to swap rows
+    (a leading minor is zero), the pivots belong to a permuted matrix and
+    the minors are recomputed one by one instead.
     """
-    rows = _fraction_rows(m)
+    rows, scales = _cleared_rows(m)
     n = len(rows)
-    a = [row[:] for row in rows]
-    minors: list[Fraction] = []
-    running = Fraction(1)
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot == 0:
-            return [
-                det_fraction([row[: j + 1] for row in rows[: j + 1]])
-                for j in range(n)
-            ]
-        running *= pivot
-        minors.append(running)
-        for i in range(k + 1, n):
-            factor = a[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                a[i][j] -= factor * a[k][j]
-    return minors
+    pivots, swaps = _bareiss(rows, n)
+    if swaps or len(pivots) <= n:
+        return [det_fraction([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+    return [Fraction(pivots[k], math.prod(scales[:k])) for k in range(1, n + 1)]
 
 
-def invert_fraction_matrix(m: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination with row pivoting."""
-    a = _fraction_rows(m)
+def adjugate_int(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """``(c, c * M**-1)`` for a nonsingular integer matrix M, all integers.
+
+    One elimination of ``[M | I]``; ``c`` is det(M) up to the sign of the
+    row swaps it made, so ``c * M**-1`` is the adjugate up to that sign.
+    Raises :class:`SingularMatrixError` if M is singular.
+    """
+    a = _square_int_rows(rows)
     n = len(a)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i == col or aug[i][col] == 0:
-                continue
-            factor = aug[i][col]
-            aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    for i, row in enumerate(a):
+        row.extend(int(i == j) for j in range(n))
+    pivots, _ = _bareiss(a, n)
+    if len(pivots) <= n:
+        raise SingularMatrixError("matrix is singular")
+    return pivots[-1], [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------

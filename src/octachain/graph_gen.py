@@ -73,7 +73,7 @@ def _chain_graph(kind: str, n: int, vertex_count: int, edges) -> ChainGraph:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def build_moebius_octagonal(n: int) -> ChainGraph:
     """Twisted closed chain of n octagons on 6n vertices and 7n edges."""
     if n < 1:
@@ -95,7 +95,7 @@ def build_moebius_octagonal(n: int) -> ChainGraph:
     return g
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def build_linear_octagonal(n: int) -> ChainGraph:
     """Open chain of n octagons on 6n + 2 vertices and 7n + 1 edges."""
     if n < 1:

@@ -92,7 +92,7 @@ class BlockDecomposition:
     l_s: np.ndarray
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def block_decompose(n: int) -> BlockDecomposition:
     """Split the closed-chain Laplacian by the mirror symmetry.
 

@@ -1,9 +1,9 @@
 """Independent brute-force checks for every closed-form quantity.
 
 Nothing in this module knows the chain formulas: eigenvalues come from a
-hand-rolled cyclic Jacobi iteration, characteristic polynomials from exact
-integer determinant evaluation plus interpolation, resistances from an exact
-grounded-Laplacian inverse, and tree counts from an exact cofactor.  Any
+hand-rolled cyclic Jacobi iteration, characteristic polynomials from an exact
+Hessenberg reduction over the rationals, resistances from the exact integer
+adjugate of the grounded Laplacian, and tree counts from an exact cofactor.  Any
 graph can be passed in, either a :class:`~octachain.graph_gen.ChainGraph`
 or a plain ``(vertex_count, edges)`` pair, which keeps the oracles honest:
 they are exercised on tiny hand-checkable graphs in the tests before being
@@ -18,7 +18,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .exact_algebra import ConsistencyError, bareiss_det_int, invert_fraction_matrix
+from .exact_algebra import ConsistencyError, adjugate_int, bareiss_det_int
 from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian, rational_walk_laplacian
 
@@ -96,49 +96,48 @@ def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[
 def charpoly_exact(m) -> list[Fraction]:
     """Ascending coefficients of det(zI - M) for a rational square matrix.
 
-    Denominators are cleared globally, the integer polynomial det(tI - N)
-    is sampled at t = 0..order and interpolated with Newton divided
-    differences, and the clearing substitution t = cz is undone.  Every step
-    is exact.
+    M is reduced to upper Hessenberg form H by exact similarity transforms,
+    and the charpolys p_k of the leading k x k blocks of H follow from
+    p_k = (z - h_kk) p_(k-1) - sum_(i<k) h_ik * h_(i+1,i)...h_(k,k-1) p_(i-1)
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
     """
-    rows = [[F(x) for x in row] for row in m]
-    order = len(rows)
-    if any(len(row) != order for row in rows):
+    h = [[F(x) for x in row] for row in m]
+    order = len(h)
+    if any(len(row) != order for row in h):
         raise ValueError("matrix must be square")
-    if order == 0:
-        return [F(1)]
-    clear = math.lcm(*(x.denominator for row in rows for x in row))
-    scaled = [[int(x * clear) for x in row] for row in rows]
+    for col in range(order - 2):
+        below = col + 1
+        pivot = next((i for i in range(below, order) if h[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != below:
+            h[below], h[pivot] = h[pivot], h[below]
+            for row in h:
+                row[below], row[pivot] = row[pivot], row[below]
+        for i in range(below + 1, order):
+            if h[i][col] == 0:
+                continue
+            u = h[i][col] / h[below][col]
+            # row_i -= u * row_below, then column_below += u * column_i
+            h[i] = [x - u * y for x, y in zip(h[i], h[below])]
+            for row in h:
+                row[below] += u * row[i]
 
-    values = []
-    for t in range(order + 1):
-        shifted = [
-            [(t * clear if i == j else 0) - scaled[i][j] for j in range(order)]
-            for i in range(order)
-        ]
-        values.append(bareiss_det_int(shifted))
-
-    # Newton divided differences on the nodes 0..order
-    dd = [F(v) for v in values]
-    for k in range(1, order + 1):
-        for i in range(order, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / k
-
-    poly = [F(0)] * (order + 1)
-    basis = [F(1)]  # ascending coefficients of prod_{j<k} (t - j)
-    for k, coeff in enumerate(dd):
-        for idx, b in enumerate(basis):
-            poly[idx] += coeff * b
-        if k < order:
-            shifted_basis = [F(0)] * (len(basis) + 1)
-            for idx, b in enumerate(basis):
-                shifted_basis[idx + 1] += b
-                shifted_basis[idx] -= k * b
-            basis = shifted_basis
-
-    # the samples were det((clear * t) I - N) = clear**order * det(tI - M)
-    scale = F(1, clear**order)
-    return [poly[k] * scale for k in range(order + 1)]
+    polys = [[F(1)]]
+    for k in range(order):
+        p = [F(0)] + polys[k]
+        for idx, c in enumerate(polys[k]):
+            p[idx] -= h[k][k] * c
+        chain = F(1)
+        for i in range(k - 1, -1, -1):
+            chain *= h[i + 1][i]
+            if chain == 0:
+                break
+            factor = h[i][k] * chain
+            for idx, c in enumerate(polys[i]):
+                p[idx] -= factor * c
+        polys.append(p)
+    return polys[order]
 
 
 def recip_sum_from_charpoly(coeffs) -> Fraction:
@@ -181,8 +180,9 @@ def _graph_cache(fn):
 def resistance_matrix_exact(g, ground: int = 0):
     """Effective resistance between every vertex pair, exactly.
 
-    Inverts the Laplacian grounded at `ground`; the answer is independent of
-    that choice, which the tests exercise directly.
+    Inverts the Laplacian grounded at `ground` through its integer adjugate;
+    the answer is independent of that choice, which the tests exercise
+    directly.
     """
     vertex_count, _ = _graph_data(g)
     if not 0 <= ground < vertex_count:
@@ -191,25 +191,16 @@ def resistance_matrix_exact(g, ground: int = 0):
         raise DisconnectedGraph("resistances need a connected graph")
     lap = combinatorial_laplacian(g)
     keep = [i for i in range(vertex_count) if i != ground]
-    grounded = [[F(lap[i][j]) for j in keep] for i in keep]
-    green = invert_fraction_matrix(grounded)
-    pos = {v: k for k, v in enumerate(keep)}
-
-    def pair(i: int, j: int) -> Fraction:
-        if i == j:
-            return F(0)
-        if i == ground:
-            return green[pos[j]][pos[j]]
-        if j == ground:
-            return green[pos[i]][pos[i]]
-        return (
-            green[pos[i]][pos[i]]
-            + green[pos[j]][pos[j]]
-            - 2 * green[pos[i]][pos[j]]
-        )
-
+    det, adj = adjugate_int([[lap[i][j] for j in keep] for i in keep])
+    # adj / det is the grounded inverse G; padded with zeros at `ground`,
+    # every resistance is G_ii + G_jj - 2 G_ij
+    for row in adj:
+        row.insert(ground, 0)
+    adj.insert(ground, [0] * vertex_count)
+    diag = [adj[i][i] for i in range(vertex_count)]
     return tuple(
-        tuple(pair(i, j) for j in range(vertex_count)) for i in range(vertex_count)
+        tuple(F(diag[i] + diag[j] - 2 * x, det) for j, x in enumerate(row))
+        for i, row in enumerate(adj)
     )
 
 

@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from octachain import exact_algebra as xa
 
@@ -121,11 +121,49 @@ def test_leading_principal_minors():
     assert xa.leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
 
 
-def test_invert_fraction_matrix():
+def test_adjugate_int():
     m = [[2, 1], [1, 1]]
-    assert xa.invert_fraction_matrix(m) == [[1, -1], [-1, 2]]
+    assert xa.adjugate_int(m) == (1, [[1, -1], [-1, 2]])
+    assert xa.adjugate_int([]) == (1, [])
     with pytest.raises(xa.SingularMatrixError):
-        xa.invert_fraction_matrix([[1, 1], [1, 1]])
+        xa.adjugate_int([[1, 1], [1, 1]])
+
+
+int_matrices = st.lists(
+    st.lists(st.integers(min_value=-9, max_value=9), min_size=4, max_size=4),
+    min_size=4,
+    max_size=4,
+)
+
+
+@settings(max_examples=200)
+@given(int_matrices, st.booleans())
+def test_adjugate_times_matrix_is_scaled_identity(rows, zero_corner):
+    if zero_corner:
+        rows[0][0] = 0  # forces a row swap before the first pivot
+    det = xa.bareiss_det_int(rows)
+    assume(det != 0)
+    c, adj = xa.adjugate_int(rows)
+    assert c in (det, -det)
+    product = [[sum(r[k] * adj[k][j] for k in range(4)) for j in range(4)] for r in rows]
+    assert product == [[c * (i == j) for j in range(4)] for i in range(4)]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=4,
+            max_size=4,
+        ),
+        min_size=4,
+        max_size=4,
+    )
+)
+def test_leading_minors_match_prefix_determinants(m):
+    want = [xa.det_fraction([row[:k] for row in m[:k]]) for k in range(1, 5)]
+    assert xa.leading_principal_minors(m) == want
 
 
 def test_fraction_serialization():

@@ -1,8 +1,11 @@
+import importlib
+import pkgutil
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+import octachain
 from octachain import graph_gen as gg
 
 
@@ -181,3 +184,18 @@ def test_export_dot():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         gg.export(gg.build_moebius_octagonal(1), "gml")
+
+
+def test_every_package_cache_is_bounded():
+    caches = []
+    for info in pkgutil.iter_modules(octachain.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"octachain.{info.name}")
+        caches += [
+            obj.cache_info()
+            for obj in vars(module).values()
+            if callable(getattr(obj, "cache_info", None))
+        ]
+    assert caches
+    assert all(info.maxsize is not None for info in caches)

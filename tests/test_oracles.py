@@ -56,6 +56,28 @@ def test_charpoly_block_images_n1():
     assert ps == [F(-5, 6), F(37, 12), F(-10, 3), F(1)]
 
 
+@pytest.mark.parametrize(
+    "m, want",
+    [
+        # column 0 is already reduced, so the Hessenberg step is skipped
+        ([[1, 2, 3], [0, 4, 5], [0, 0, 6]], [-24, 34, -11, 1]),
+        # zero subdiagonal with a nonzero below: a swap, then a broken chain
+        ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], [0, -1, 0, 1]),
+        # a full elimination step with a nonzero multiplier
+        ([[1, 1, 1], [1, 2, 3], [1, 4, 9]], [-2, 15, -12, 1]),
+        ([[F(1, 2)]], [F(-1, 2), 1]),
+        ([], [1]),
+    ],
+)
+def test_charpoly_exact_small_matrices(m, want):
+    assert orc.charpoly_exact(m) == want
+
+
+def test_charpoly_rejects_non_square():
+    with pytest.raises(ValueError):
+        orc.charpoly_exact([[1, 2]])
+
+
 def test_charpoly_walk_constant_term():
     for n in range(1, 7):
         g = gg.build_moebius_octagonal(n)
@@ -168,6 +190,10 @@ def test_resistance_below_path_distance():
                         queue.append(w)
             for v, d in dist.items():
                 assert r[src][v] <= d
+
+
+def test_single_vertex_resistance():
+    assert orc.resistance_matrix_exact((1, ())) == ((0,),)
 
 
 def test_disconnected_graph_rejected():
