@@ -1,12 +1,16 @@
 """Exact arithmetic building blocks.
 
 Everything downstream that claims to be "exact" bottoms out here: matrix
-elimination (determinants, leading minors, adjugates), arithmetic in the
-quadratic field Q(sqrt(15)), integer powers of the fundamental unit
-4 + sqrt(15), and string/decimal rendering of integers and rationals.
-All matrix work goes through one fraction-free Gauss-Jordan elimination
-(Bareiss) on integer rows, so intermediate values stay integral; rational
-matrices are first cleared to integers row by row.
+elimination (determinants, truncated determinant series, leading minors,
+adjugates), arithmetic in the quadratic field Q(sqrt(15)), integer powers of
+the fundamental unit 4 + sqrt(15), and string/decimal rendering of integers
+and rationals.  All matrix work is fraction-free elimination (Bareiss) on
+integer rows, so intermediate values stay integral; rational matrices are
+first cleared to integers row by row.  Every determinant, and the lowest
+coefficients of det(R + z*diag(shift)) that characteristic polynomials are
+read from, come from one banded forward elimination over truncated power
+series, :func:`det_series`; leading minors, which need the natural order, and
+the adjugate, which needs the full Gauss-Jordan sweep, come from ``_bareiss``.
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def unit_power(k: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra: one fraction-free elimination
+# Exact linear algebra: fraction-free elimination
 # ---------------------------------------------------------------------------
 
 
@@ -203,11 +207,138 @@ def _cleared_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     return rows, scales
 
 
-def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
+def reverse_cuthill_mckee(rows: Sequence[Sequence]) -> list[int]:
+    """A reverse Cuthill-McKee order of a square matrix (Cuthill & McKee 1969).
+
+    Breadth-first search over the graph of the nonzero off-diagonal entries
+    of R + R^T, started in each component at a vertex of least degree and
+    taking neighbours by increasing degree; the visit order, reversed, keeps
+    the nonzeros of the permuted matrix in a narrow band around the diagonal.
+    """
+    adj = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x and i != j:
+                adj[i].add(j)
+                adj[j].add(i)
+    seen = [False] * len(adj)
+    order = []
+    for start in sorted(range(len(adj)), key=lambda v: len(adj[v])):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for v in queue:
+            for w in sorted(adj[v], key=lambda w: (len(adj[w]), w)):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        order.extend(queue)
+    return order[::-1]
+
+
+def _series_cross(p, x, f, y, prev, t: int) -> list[int]:
+    """(p*x - f*y) / prev in Z[z]/(z**t); the quotient is known to be integral
+    and prev[0] != 0, so each coefficient divides exactly."""
+    if t == 1:  # a plain determinant; skips the series loop (about 2x faster)
+        return [(p[0] * x[0] - f[0] * y[0]) // prev[0]]
+    q = []
+    for k in range(t):
+        acc = sum(p[i] * x[k - i] - f[i] * y[k - i] for i in range(k + 1))
+        acc -= sum(q[i] * prev[k - i] for i in range(k))
+        q.append(acc // prev[0])
+    return q
+
+
+def _permutation_sign(perm: list[int]) -> int:
+    perm, sign = list(perm), 1
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], j
+            sign = -sign
+    return sign
+
+
+def det_series(
+    rows: Sequence[Sequence[int]], shift: Sequence[int] | None = None, terms: int = 1
+) -> list[int]:
+    """The lowest `terms` coefficients of det(R + z*diag(shift)), ascending.
+
+    Forward fraction-free elimination (Bareiss 1968) over Z[z]/(z**terms)
+    on the sparse rows of R in reverse Cuthill-McKee order, so a banded
+    matrix costs O(order * bandwidth**2) series operations.  Each step
+    touches only the rows with an entry in the pivot column; a row left out
+    of a step would just be multiplied by p_k / p_(k-1), so that scaling is
+    applied lazily, by p_now / p_then, when the row next enters the band.
+    The pivot is the first row whose entry has a nonzero constant term, so
+    every division is exact integer division from the constant term.  If no
+    such row exists, the remaining column of the Schur complement is
+    divisible by z: that z is factored out of the determinant and the
+    elimination continues with one term fewer.  A singular R therefore
+    gives ``[0]`` at ``terms=1``.
+    """
     a = _square_int_rows(rows)
-    pivots, swaps = _bareiss(a, len(a))
-    return (-1) ** swaps * pivots[-1] if len(pivots) > len(a) else 0
+    n = len(a)
+    shift = [0] * n if shift is None else [int(s) for s in shift]
+    if len(shift) != n:
+        raise ValueError("shift must have one entry per row")
+    if terms < 1:
+        raise ValueError("terms must be positive")
+    order = reverse_cuthill_mckee(a)
+    place = {old: new for new, old in enumerate(order)}
+    zero = (0,) * terms
+    band, cols = [], [set() for _ in range(n)]
+    for new_i, i in enumerate(order):
+        row = {}
+        for j, x in enumerate(a[i]):
+            s = shift[i] if i == j else 0
+            if x or s:
+                row[place[j]] = [x, s, *zero][:terms]
+                cols[place[j]].add(new_i)
+        band.append(row)
+
+    t, z_power = terms, 0
+    pivots = [[1, *zero[1:]]]  # pivots[s + 1] is the pivot of step s
+    scale = [0] * n  # row i is stored at scale pivots[scale[i]]
+    chosen = []  # chosen[k] is the row that pivots step k
+    for k in range(n):
+        prev, cand = pivots[-1], sorted(cols[k])
+        for i in cand:
+            if scale[i] != len(pivots) - 1:
+                row, then = band[i], pivots[scale[i]]
+                for j, x in row.items():
+                    row[j] = _series_cross(prev, x, zero, zero, then, t)
+                scale[i] = len(pivots) - 1
+        while (r := next((i for i in cand if band[i][k][0]), None)) is None:
+            t, z_power = t - 1, z_power + 1
+            if t == 0:
+                return [0] * terms
+            for i in cand:
+                band[i][k] = band[i][k][1:]
+        pivot_row = band[r]
+        p = pivot_row.pop(k)
+        for j in pivot_row:
+            cols[j].discard(r)
+        for i in cand:
+            if i != r:
+                row = band[i]
+                f = row.pop(k)
+                for j in row.keys() | pivot_row.keys():
+                    if j not in row:
+                        cols[j].add(i)
+                    y = pivot_row.get(j, zero)
+                    row[j] = _series_cross(p, row.get(j, zero), f, y, prev, t)
+                scale[i] = len(pivots)
+        pivots.append(p)
+        chosen.append(r)
+    sign = _permutation_sign(chosen)
+    return [0] * z_power + [sign * c for c in pivots[-1][:t]]
+
+
+def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of an integer matrix: :func:`det_series` at one term."""
+    return det_series(rows)[0]
 
 
 def det_fraction(m: Sequence[Sequence]) -> Fraction:
@@ -219,6 +350,23 @@ def det_fraction(m: Sequence[Sequence]) -> Fraction:
     """
     rows, scales = _cleared_rows(m)
     return Fraction(bareiss_det_int(rows), math.prod(scales))
+
+
+def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
+    """The principal minors of order N - 1 of a rational N x N matrix:
+    entry x - 1 is det(m) with row and column x deleted, for x = 1..N.
+
+    The rows are cleared to integers once, and each minor is one
+    :func:`bareiss_det_int` of the cleared rows with row and column x
+    deleted, divided by the scales of the rows it keeps.
+    """
+    rows, scales = _cleared_rows(m)
+    total = math.prod(scales)
+    minors = []
+    for x in range(len(rows)):
+        kept = [r[:x] + r[x + 1 :] for i, r in enumerate(rows) if i != x]
+        minors.append(Fraction(bareiss_det_int(kept) * scales[x], total))
+    return minors
 
 
 def leading_principal_minors(m: Sequence[Sequence]) -> list[Fraction]:

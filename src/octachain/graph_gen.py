@@ -51,17 +51,10 @@ class ChainGraph:
             raise ValueError("n must be a positive integer")
         if self.vertex_count < 1:
             raise ValueError("graph must have at least one vertex")
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
+        edges = _checked_edges(self.vertex_count, self.edges)
         object.__setattr__(self, "edges", edges)
-        seen = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < b < self.vertex_count):
-                raise ValueError(f"edge {(a, b)} must satisfy 0 <= a < b < order")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge {(a, b)}")
-            seen.add((a, b))
+        if any(a > b for a, b in edges):
+            raise ValueError("every edge (a, b) must have a < b")
         if list(edges) != sorted(edges):
             raise ValueError("edges must be sorted lexicographically")
         object.__setattr__(self, "degrees", vertex_degrees(self))
@@ -172,11 +165,35 @@ def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(adj)) for adj in neighbours)
 
 
+def _checked_edges(vertex_count: int, edges) -> tuple[tuple[int, int], ...]:
+    """Edges as int pairs of a simple graph on vertices 0..vertex_count - 1.
+
+    Raises ValueError on a self-loop, an endpoint out of range, or an edge
+    given twice (in either orientation).
+    """
+    out, seen = [], set()
+    for a, b in edges:
+        a, b = int(a), int(b)
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+            raise ValueError(f"edge {(a, b)} has an endpoint out of range")
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise ValueError(f"duplicate edge {(a, b)}")
+        seen.add(key)
+        out.append((a, b))
+    return tuple(out)
+
+
 def _graph_data(g) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """``(vertex_count, edges)`` of a ChainGraph, or of a plain pair after
+    :func:`_checked_edges`."""
     if isinstance(g, ChainGraph):
         return g.vertex_count, g.edges
     vertex_count, edges = g
-    return int(vertex_count), tuple(tuple(e) for e in edges)
+    vertex_count = int(vertex_count)
+    return vertex_count, _checked_edges(vertex_count, edges)
 
 
 def vertex_degrees(g) -> tuple[int, ...]:

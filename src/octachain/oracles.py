@@ -1,8 +1,9 @@
 """Independent brute-force checks for every closed-form quantity.
 
 Nothing in this module knows the chain formulas: eigenvalues come from a
-hand-rolled cyclic Jacobi iteration, characteristic polynomials from an exact
-Hessenberg reduction over the rationals, resistances from the exact integer
+hand-rolled cyclic Jacobi iteration, characteristic polynomials (whole, or
+only their lowest coefficients) and Kemeny's constant from banded
+elimination over truncated power series, resistances from the exact integer
 adjugate of the grounded Laplacian, and tree counts from an exact cofactor.  Any
 graph can be passed in, either a :class:`~octachain.graph_gen.ChainGraph`
 or a plain ``(vertex_count, edges)`` pair, which keeps the oracles honest:
@@ -18,9 +19,15 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .exact_algebra import ConsistencyError, adjugate_int, bareiss_det_int
+from .exact_algebra import (
+    ConsistencyError,
+    _cleared_rows,
+    adjugate_int,
+    bareiss_det_int,
+    det_series,
+)
 from .graph_gen import _graph_data, is_connected, vertex_degrees
-from .laplacian import combinatorial_laplacian, rational_walk_laplacian
+from .laplacian import combinatorial_laplacian
 
 F = Fraction
 
@@ -93,51 +100,21 @@ def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[
 # ---------------------------------------------------------------------------
 
 
-def charpoly_exact(m) -> list[Fraction]:
-    """Ascending coefficients of det(zI - M) for a rational square matrix.
+def charpoly_exact(m, terms: int | None = None) -> list[Fraction]:
+    """Ascending coefficients of det(zI - M) for a rational square matrix,
+    all of them, or only the lowest `terms`.
 
-    M is reduced to upper Hessenberg form H by exact similarity transforms,
-    and the charpolys p_k of the leading k x k blocks of H follow from
-    p_k = (z - h_kk) p_(k-1) - sum_(i<k) h_ik * h_(i+1,i)...h_(k,k-1) p_(i-1)
-    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9).
+    With S the diagonal of row scales that clears M to integers,
+    det(zI - M) = det(zS - SM) / det(S); the integer pencil is expanded by
+    :func:`~octachain.exact_algebra.det_series`, the banded elimination over
+    truncated power series.
     """
-    h = [[F(x) for x in row] for row in m]
-    order = len(h)
-    if any(len(row) != order for row in h):
-        raise ValueError("matrix must be square")
-    for col in range(order - 2):
-        below = col + 1
-        pivot = next((i for i in range(below, order) if h[i][col] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != below:
-            h[below], h[pivot] = h[pivot], h[below]
-            for row in h:
-                row[below], row[pivot] = row[pivot], row[below]
-        for i in range(below + 1, order):
-            if h[i][col] == 0:
-                continue
-            u = h[i][col] / h[below][col]
-            # row_i -= u * row_below, then column_below += u * column_i
-            h[i] = [x - u * y for x, y in zip(h[i], h[below])]
-            for row in h:
-                row[below] += u * row[i]
-
-    polys = [[F(1)]]
-    for k in range(order):
-        p = [F(0)] + polys[k]
-        for idx, c in enumerate(polys[k]):
-            p[idx] -= h[k][k] * c
-        chain = F(1)
-        for i in range(k - 1, -1, -1):
-            chain *= h[i + 1][i]
-            if chain == 0:
-                break
-            factor = h[i][k] * chain
-            for idx, c in enumerate(polys[i]):
-                p[idx] -= factor * c
-        polys.append(p)
-    return polys[order]
+    rows, scales = _cleared_rows(m)
+    if terms is None:
+        terms = len(rows) + 1
+    coeffs = det_series([[-x for x in row] for row in rows], scales, terms)
+    total = math.prod(scales)
+    return [F(c, total) for c in coeffs]
 
 
 def recip_sum_from_charpoly(coeffs) -> Fraction:
@@ -206,10 +183,19 @@ def resistance_matrix_exact(g, ground: int = 0):
 
 @_graph_cache
 def kemeny_oracle(g) -> Fraction:
-    """Kemeny's constant via the exact walk-matrix characteristic polynomial."""
+    """Kemeny's constant, the sum of 1/lambda over the nonzero eigenvalues of
+    the walk matrix I - D^(-1) A.
+
+    Those are the roots of det(zD - L) with L = D - A, so the sum is -c2/c1
+    by Vieta, read from the three lowest coefficients of the pencil.  A
+    single vertex has no nonzero eigenvalue: the empty sum, 0.
+    """
     if not is_connected(g):
         raise DisconnectedGraph("Kemeny's constant needs a connected graph")
-    return recip_sum_from_charpoly(charpoly_exact(rational_walk_laplacian(g)))
+    if _graph_data(g)[0] == 1:
+        return F(0)
+    pencil = det_series(combinatorial_laplacian(g), [-d for d in vertex_degrees(g)], 3)
+    return recip_sum_from_charpoly(pencil)
 
 
 def dk_oracle(g) -> Fraction:

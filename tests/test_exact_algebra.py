@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -107,6 +109,54 @@ def test_bareiss_known_values():
 )
 def test_bareiss_matches_fraction_elimination(rows):
     assert xa.bareiss_det_int(rows) == xa.det_fraction(rows)
+
+
+def _leibniz_det(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+sparse_int_matrices = st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=-4, max_value=4)),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300)
+@given(sparse_int_matrices)
+def test_det_series_matches_leibniz(rows):
+    assert xa.det_series(rows) == [_leibniz_det(rows)]
+
+
+def test_det_series_pencil():
+    # det([[1 + 2z, 1], [1, 1 - z]]) = z - 2z^2: no pivot of the second
+    # column has a nonzero constant term, so its z is factored out
+    assert xa.det_series([[1, 1], [1, 1]], [2, -1], 4) == [0, 1, -2, 0]
+    # zI: every z is factored out in turn
+    assert xa.det_series([[0, 0], [0, 0]], [1, 1], 3) == [0, 0, 1]
+    assert xa.det_series([], None, 2) == [1, 0]
+    with pytest.raises(ValueError):
+        xa.det_series([[1]], [1, 2])
+    with pytest.raises(ValueError):
+        xa.det_series([[1]], terms=0)
+
+
+def test_deleted_minors():
+    m = [[F(1, 2), 1, 0], [F(1, 3), 2, 1], [0, F(1, 4), 3]]
+    keep = [[1, 2], [0, 2], [0, 1]]
+    want = [xa.det_fraction([[m[i][j] for j in k] for i in k]) for k in keep]
+    assert xa.deleted_minors(m) == want == [F(23, 4), F(3, 2), F(2, 3)]
 
 
 def test_det_fraction():

@@ -149,6 +149,16 @@ def test_chain_graph_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [((0, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 1),), ((0, 2),), ((-1, 0),)],
+)
+def test_plain_graph_validation(edges):
+    # duplicate in either orientation, self-loop, endpoint out of range
+    with pytest.raises(ValueError):
+        gg.vertex_degrees((2, edges))
+
+
 def test_export_edgelist_golden():
     out = gg.export(gg.build_moebius_octagonal(1), "edgelist")
     assert out == "0 1\n0 3\n0 5\n1 2\n2 3\n3 4\n4 5\n"

@@ -59,11 +59,12 @@ def test_charpoly_block_images_n1():
 @pytest.mark.parametrize(
     "m, want",
     [
-        # column 0 is already reduced, so the Hessenberg step is skipped
+        # triangular: every pivot is a diagonal entry
         ([[1, 2, 3], [0, 4, 5], [0, 0, 6]], [-24, 34, -11, 1]),
-        # zero subdiagonal with a nonzero below: a swap, then a broken chain
+        # a pivot with a zero constant term is passed over for a row swap,
+        # and the all-z column of the isolated vertex has its z factored out
         ([[0, 0, 1], [0, 0, 0], [1, 0, 0]], [0, -1, 0, 1]),
-        # a full elimination step with a nonzero multiplier
+        # dense: every remaining row is updated at every step
         ([[1, 1, 1], [1, 2, 3], [1, 4, 9]], [-2, 15, -12, 1]),
         ([[F(1, 2)]], [F(-1, 2), 1]),
         ([], [1]),
@@ -104,6 +105,68 @@ def test_charpoly_matches_numpy(rows):
     numeric = np.poly(np.array([[float(x) for x in r] for r in rows]))[::-1]
     for k, c in enumerate(coeffs):
         assert float(c) == pytest.approx(numeric[k], abs=1e-6)
+
+
+sparse_5x5 = st.lists(
+    st.lists(
+        st.one_of(st.just(0), st.just(0), st.integers(min_value=-3, max_value=3)),
+        min_size=5,
+        max_size=5,
+    ),
+    min_size=5,
+    max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_5x5, st.integers(min_value=1, max_value=7))
+def test_truncated_charpoly_is_a_prefix(rows, terms):
+    full = orc.charpoly_exact(rows)
+    assert orc.charpoly_exact(rows, terms=terms) == (full + [0] * terms)[:terms]
+
+
+def _random_connected_graph(rng, order):
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, order)}
+    for _ in range(rng.randrange(2 * order)):
+        a, b = rng.sample(range(order), 2)
+        edges.add((min(a, b), max(a, b)))
+    return order, tuple(sorted(edges))
+
+
+def test_kemeny_pencil_matches_walk_charpoly():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = _random_connected_graph(rng, rng.randint(2, 9))
+        walk = orc.charpoly_exact(lap.rational_walk_laplacian(g))
+        assert orc.kemeny_oracle(g) == orc.recip_sum_from_charpoly(walk)
+
+
+def test_rcm_bandwidth():
+    def bandwidth(rows):
+        pos = {v: k for k, v in enumerate(xa.reverse_cuthill_mckee(rows))}
+        return max(
+            abs(pos[i] - pos[j])
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+            if x
+        )
+
+    for n in range(1, 31):
+        q = gg.build_moebius_octagonal(n)
+        assert bandwidth(lap.combinatorial_laplacian(q)) <= 6
+        for family in ("A", "S"):
+            assert bandwidth(lap.rational_block_image(n, family)) <= 2
+
+
+def test_oracles_beyond_dense_reach():
+    g = gg.build_moebius_octagonal(40)
+    assert orc.kemeny_oracle(g) == cf.kemeny(40)
+    assert orc.spanning_trees_oracle(g) == cf.spanning_trees(40)
+
+
+def test_single_vertex_kemeny_and_dk():
+    assert orc.kemeny_oracle((1, ())) == 0
+    assert orc.dk_oracle((1, ())) == 0
 
 
 def test_recip_sum_from_charpoly():
