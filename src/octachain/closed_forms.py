@@ -32,6 +32,7 @@ from .exact_algebra import (
     ConsistencyError,
     QuadExt,
     frac_to_str,
+    int_to_str,
     quad_pow,
     unit_power,
 )
@@ -264,6 +265,6 @@ def summary_json(s: SpectralSummary) -> str:
             "dk": frac_to_str(s.dk),
             "dk_decimal": float(s.dk),
             "kemeny": frac_to_str(s.kemeny),
-            "tau": str(s.tau),
+            "tau": int_to_str(s.tau),
         }
     )

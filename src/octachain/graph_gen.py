@@ -132,18 +132,12 @@ def fold_linear_ends(g: ChainGraph) -> ChainGraph:
     return _chain_graph(MOEBIUS, n, 2 * m, folded)
 
 
-@dataclass(frozen=True)
-class MirrorMap:
-    """A graph automorphism given as a vertex permutation."""
-
-    permutation: tuple[int, ...]
-
-
-def mirror_automorphism(g: ChainGraph) -> MirrorMap:
-    """The top/bottom swap ``u_j <-> v_j`` of the twisted closed chain.
+def mirror_automorphism(g: ChainGraph) -> tuple[int, ...]:
+    """The top/bottom swap ``u_j <-> v_j`` of the twisted closed chain, as a
+    vertex permutation.
 
     It is an involution without fixed points; the two seam edges are
-    exchanged with each other.
+    exchanged with each other. Every mirror fold in :mod:`laplacian` uses it.
     """
     if g.kind != MOEBIUS:
         raise ValueError("the mirror swap is only defined for the closed chain")
@@ -152,7 +146,7 @@ def mirror_automorphism(g: ChainGraph) -> MirrorMap:
     mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}
     if mapped != set(g.edges):
         raise ConstructionError("mirror permutation does not preserve adjacency")
-    return MirrorMap(permutation=perm)
+    return perm
 
 
 def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:

@@ -1,17 +1,17 @@
 """Laplacian matrices of chain graphs and their symmetric reductions.
 
 The normalized Laplacian of the twisted closed chain commutes with the
-top/bottom mirror swap, so conjugating by the orthogonal folding matrix
-``U = (1/sqrt(2)) [[I, I], [I, -I]]`` block-diagonalizes it into a "sum"
+top/bottom mirror swap of :func:`graph_gen.mirror_automorphism`, so folding
+by ``U = (1/sqrt(2)) [[I, I], [I, -I]]`` block-diagonalizes it into a "sum"
 block (diagonal couplings reinforced) and a "difference" block.  Both blocks
-are almost tridiagonal: a tridiagonal band whose diagonal and couplings
-repeat with period three, plus two corner entries from the seam.
+are almost tridiagonal: a band whose entries repeat with period three, plus
+two corner entries from the seam.
 
-Because every entry is +-1/sqrt(d_i d_j), conjugating by diag(sqrt(d)) turns
-any of these matrices into a rational matrix with the same characteristic
-polynomial *and* the same leading principal minors; the ``rational_*``
-functions build those exact images so determinant work can stay in
-:class:`fractions.Fraction`.
+Every block entry is +-1/sqrt(d_i d_j), so conjugating by diag(sqrt(d))
+gives a rational matrix with the same characteristic polynomial *and* the
+same leading principal minors.  :func:`rational_block_image` folds that
+exact image out of the graph's edges, so determinant work can stay in
+:class:`fractions.Fraction`; a phase section is a principal slice of it.
 """
 
 from __future__ import annotations
@@ -23,12 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_gen import _graph_data, build_moebius_octagonal, vertex_degrees
+from .graph_gen import (
+    _graph_data,
+    build_moebius_octagonal,
+    mirror_automorphism,
+    vertex_degrees,
+)
 
 F = Fraction
 
-_SPECIAL_DIAG = {"A": F(2, 3), "S": F(4, 3)}
-_CORNER_SIGN = {"A": -1, "S": 1}
 _PHASES = {"A": (0, 1, 2), "S": (0, 1)}
 
 
@@ -96,13 +99,14 @@ class BlockDecomposition:
 def block_decompose(n: int) -> BlockDecomposition:
     """Split the closed-chain Laplacian by the mirror symmetry.
 
-    With vertices ordered top block then bottom block, the matrix is
-    [[X, Y], [Y, X]]; the fold turns it into diag(X + Y, X - Y).
+    On the top vertices the matrix is [[X, Y], [Y, X]], Y coupling vertex i
+    with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
     """
     m = 3 * n
-    full = normalized_laplacian(build_moebius_octagonal(n))
+    g = build_moebius_octagonal(n)
+    full = normalized_laplacian(g)
     l_v1v1 = full[:m, :m].copy()
-    l_v1v2 = full[:m, m:].copy()
+    l_v1v2 = full[:m, list(mirror_automorphism(g)[:m])]
     return BlockDecomposition(
         n=n,
         l_v1v1=l_v1v1,
@@ -121,37 +125,35 @@ def _check_phase(family: str, phase: int, m: int) -> None:
         raise ValueError("matrix order must be positive")
 
 
-def _position_degree(pos: int) -> int:
-    return 3 if pos % 3 == 1 else 2
-
-
 def rational_phase_image(family: str, phase: int, m: int) -> list[list[Fraction]]:
     """Rational image of the order-m tridiagonal section of a block,
     started at chain offset `phase`.
 
-    Row i (1-based) is chain position i + phase.  The normalized section
-    carries the rung coupling (2/3 or 4/3 instead of 1) on the diagonal at
-    positions 1 mod 3, and the bond -1/sqrt(d_i d_j) between neighbours;
-    conjugation by diag(sqrt(d)) sends the entry at (i, j) to -1/d_j while
-    fixing the diagonal, which preserves the characteristic polynomial and
-    every leading principal minor.
+    Row i (1-based) is chain position i + phase: the section is the slice
+    [phase : phase + m] of the block image of the shortest chain Q_N whose
+    seam corner (0, 3N - 1) lies outside it.
     """
     _check_phase(family, phase, m)
-    out = [[F(0)] * m for _ in range(m)]
-    for i in range(1, m + 1):
-        pos = i + phase
-        out[i - 1][i - 1] = _SPECIAL_DIAG[family] if pos % 3 == 1 else F(1)
-        if i < m:
-            out[i - 1][i] = F(-1, _position_degree(pos + 1))
-            out[i][i - 1] = F(-1, _position_degree(pos))
-    return out
+    block = rational_block_image((phase + m) // 3 + 1, family)
+    return [row[phase : phase + m] for row in block[phase : phase + m]]
 
 
 def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
-    """Rational similarity image of a full 3n x 3n block (band + corners)."""
+    """Rational similarity image of a full 3n x 3n block (band + corners).
+
+    With L = D - A and the mirror permutation sigma, entry (i, j) on the top
+    vertices is (L[i][j] +- L[i][sigma(j)]) / d_j, + for "A" and - for "S":
+    the transpose of the folded walk matrix I - D^(-1) A.
+    """
     m = 3 * n
-    out = rational_phase_image(family, 0, m)
-    sign = _CORNER_SIGN[family]
-    out[0][m - 1] = F(sign, _position_degree(m))
-    out[m - 1][0] = F(sign, _position_degree(1))
+    _check_phase(family, 0, m)
+    g = build_moebius_octagonal(n)
+    mirror, d = mirror_automorphism(g), g.degrees
+    sign = 1 if family == "A" else -1
+    out = [[F(0)] * i + [F(1)] + [F(0)] * (m - 1 - i) for i in range(m)]
+    for a, b in g.edges:
+        for i, k in ((a, b), (b, a)):
+            if i < m:
+                j, s = (k, 1) if k < m else (mirror[k], sign)
+                out[i][j] -= F(s, d[j])
     return out

@@ -51,7 +51,7 @@ def _off_norm(a: np.ndarray) -> float:
 
 
 def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[float]:
-    """All eigenvalues of a symmetric matrix, ascending.
+    """All eigenvalues of a symmetric matrix with finite entries, ascending.
 
     Runs cyclic Jacobi sweeps until the off-diagonal Frobenius norm drops
     below ``tol * order``; raises :class:`NumericFailure` if that does not
@@ -60,6 +60,8 @@ def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     order = a.shape[0]
     if order == 0:
         return []

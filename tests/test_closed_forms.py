@@ -188,3 +188,11 @@ def test_spectral_summary_json():
     assert data["kemeny"] == "1097/210"
     assert data["tau"] == "15"
     assert data["dk_decimal"] == pytest.approx(73.1333333333333, abs=1e-12)
+
+
+def test_spectral_summary_json_past_the_digit_limit():
+    # tau(4795) has more digits than str() renders by default
+    s = cf.spectral_summary(4795)
+    tau = json.loads(cf.summary_json(s))["tau"]
+    assert tau == xa.int_to_str(s.tau)
+    assert int(tau[-20:]) == s.tau % 10**20

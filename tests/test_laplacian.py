@@ -8,6 +8,7 @@ from octachain import exact_algebra as xa
 from octachain import graph_gen as gg
 from octachain import laplacian as lap
 from octachain import oracles as orc
+from octachain import verification as ver
 
 F = Fraction
 S6 = 1.0 / math.sqrt(6.0)
@@ -170,6 +171,45 @@ def test_rational_images_match_numeric_minors():
         for k in range(1, len(exact) + 1):
             num = np.linalg.det(np.asarray(sym)[:k, :k])
             assert float(exact[k - 1]) == pytest.approx(num, abs=1e-9)
+
+
+def test_block_image_is_the_folded_walk_matrix_transposed():
+    for n in range(1, 7):
+        g = gg.build_moebius_octagonal(n)
+        walk = lap.rational_walk_laplacian(g)
+        mirror = gg.mirror_automorphism(g)
+        m = 3 * n
+        for family, sign in (("A", 1), ("S", -1)):
+            folded = [
+                [walk[j][i] + sign * walk[mirror[j]][i] for j in range(m)]
+                for i in range(m)
+            ]
+            assert lap.rational_block_image(n, family) == folded
+
+
+def test_block_images_follow_the_graph(monkeypatch):
+    # drop the rung u_4 -- v_4 (vertices 3 and 3n + 3); the graph stays
+    # mirror-symmetric, so every fold still applies, but the images, the
+    # phase sections and the checks that read them must all see the change
+    build = gg.build_moebius_octagonal
+
+    def without_rung(n):
+        g = build(n)
+        edges = tuple(e for e in g.edges if e != (3, 3 * n + 3))
+        return gg.ChainGraph(gg.MOEBIUS, n, g.vertex_count, edges)
+
+    intact = lap.rational_block_image(2, "S")
+    monkeypatch.setattr(lap, "build_moebius_octagonal", without_rung)
+    # uncached, so the blocks of the cut graph are not kept for later tests
+    monkeypatch.setattr(lap, "block_decompose", lap.block_decompose.__wrapped__)
+    cut = lap.rational_block_image(2, "S")
+    assert intact[3][3] == F(4, 3) and cut[3][3] == 1
+    assert [row[:3] + row[4:] for row in cut[:3] + cut[4:]] == [
+        row[:3] + row[4:] for row in intact[:3] + intact[4:]
+    ]
+    failed = {c.name for c in ver.run_verification(2).checks if not c.passed}
+    assert "ls_determinant" in failed
+    assert any("_minors_phase" in name for name in failed)
 
 
 def test_ls_positive_definite():

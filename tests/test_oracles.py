@@ -49,6 +49,16 @@ def test_jacobi_nonconvergence_raises():
         orc.eigenvalues_symmetric(m, tol=1e-12, max_sweeps=1)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 1.0], [1.0, 1.0]]],
+    ids=["nan", "inf"],
+)
+def test_jacobi_rejects_nonfinite_entries(m):
+    with pytest.raises(ValueError, match="finite"):
+        orc.eigenvalues_symmetric(m)
+
+
 def test_charpoly_block_images_n1():
     pa = orc.charpoly_exact(lap.rational_block_image(1, "A"))
     assert pa == [F(0), F(7, 4), F(-8, 3), F(1)]
