@@ -2,13 +2,11 @@
 
 All formulas are driven by the algebraic pair x = (4 +- sqrt(15))/12, the two
 roots that govern the period-three minor recurrences of the chain blocks, and
-so by the powers (4 + sqrt(15))**n = (t_n + u_n sqrt(15)) / 2.  The integer
-pair (t_n, u_n) comes from :func:`~octachain.exact_algebra.unit_power`.  The
-one place that compares it with literal exponentiation in Q(sqrt(15)) is
-``_unit``: ``xi``, ``det_ls``, ``coeff_t_3n_minus_1`` and ``minor_det_ls``
-take (t_n, u_n) from there, and it raises :class:`ConsistencyError` if the
-two routes ever disagree, so a silent algebra slip cannot produce a
-plausible-looking number.
+so by the powers (4 + sqrt(15))**n = (t_n + u_n sqrt(15)) / 2.  Every formula
+reads the integer pair (t_n, u_n) from
+:func:`~octachain.exact_algebra.unit_power`; no arithmetic in Q(sqrt(15)) is
+done here.  The verification layer compares each formula with an oracle that
+recomputes it from the graph.
 
 Quantities provided (for the closed chain with parameter n):
 
@@ -28,37 +26,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import (
-    ConsistencyError,
-    QuadExt,
-    frac_to_str,
-    int_to_str,
-    quad_pow,
-    unit_power,
-)
+from .exact_algebra import frac_to_str, int_to_str, unit_power
 
 F = Fraction
 
-# the recurrence root (4 + sqrt(15)) / 12; the other root is its conjugate
-X_PLUS = QuadExt(F(1, 3), F(1, 12))
 _TWELFTH = F(1, 12)
 
 
 def _require_positive(n: int) -> None:
     if n < 1:
         raise ValueError("n must be a positive integer")
-
-
-def _unit(n: int) -> tuple[int, int]:
-    """(t_n, u_n) from the integer route, checked against (12 * x_plus)**n
-    computed in Q(sqrt(15))."""
-    t, u = unit_power(n)
-    power = quad_pow(12 * X_PLUS, n)
-    if power != QuadExt(F(t, 2), F(u, 2)):
-        raise ConsistencyError(
-            f"(4 + sqrt15)**{n}: field route {power} != ({t} + {u}*sqrt15)/2"
-        )
-    return t, u
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +76,17 @@ def w_minor(phase: int, j: int) -> Fraction:
     return w_minor(0, j - 1) - F(1, 6) * w_minor(1, j - 2)
 
 
-# coefficients c with q_j = c * x_plus**k + conj(c) * x_minus**k, k = (j-r)/3,
-# keyed by (phase, j mod 3); with x_+-**k = (t_k +- u_k sqrt(15)) / (2 * 12**k)
-# this is q_j = (c.a * t_k + 15 * c.b * u_k) / 12**k
+# pairs (a, b) of c = a + b sqrt(15) with q_j = c * x_+**k + conj(c) * x_-**k,
+# k = (j - r)/3 and x_+- = (4 +- sqrt(15)) / 12, keyed by (phase, r = j mod 3);
+# with x_+-**k = (t_k +- u_k sqrt(15)) / (2 * 12**k) this is
+# q_j = (a * t_k + 15 * b * u_k) / 12**k
 _Q_COEFF = {
-    (0, 0): QuadExt(F(1, 2), F(1, 5)),
-    (0, 1): QuadExt(F(2, 3), F(17, 90)),
-    (0, 2): QuadExt(F(7, 12), F(7, 45)),
-    (1, 0): QuadExt(F(1, 2), F(1, 5)),
-    (1, 1): QuadExt(F(1, 2), F(3, 20)),
-    (1, 2): QuadExt(F(3, 8), F(1, 10)),
+    (0, 0): (F(1, 2), F(1, 5)),
+    (0, 1): (F(2, 3), F(17, 90)),
+    (0, 2): (F(7, 12), F(7, 45)),
+    (1, 0): (F(1, 2), F(1, 5)),
+    (1, 1): (F(1, 2), F(3, 20)),
+    (1, 2): (F(3, 8), F(1, 10)),
 }
 
 
@@ -120,9 +98,9 @@ def q_minor(phase: int, j: int) -> Fraction:
         raise ValueError("index must be non-negative")
     r = j % 3
     k = (j - r) // 3
-    c = _Q_COEFF[(phase, r)]
+    a, b = _Q_COEFF[(phase, r)]
     t, u = unit_power(k)
-    return (c.a * t + 15 * c.b * u) / 12**k
+    return (a * t + 15 * b * u) / 12**k
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +118,7 @@ def xi(n: int) -> Fraction:
     """Sum of reciprocals of the difference-block eigenvalues,
     37 n u_n / (2 (t_n + 2))."""
     _require_positive(n)
-    t, u = _unit(n)
+    t, u = unit_power(n)
     return F(37 * n * u, 2 * (t + 2))
 
 
@@ -157,13 +135,10 @@ def dk_index(n: int) -> Fraction:
 
 
 def spanning_trees(n: int) -> int:
-    """Number of spanning trees, 3n (t_n + 2) / 2."""
+    """Number of spanning trees, 3n (t_n + 2) / 2 (t_n is even)."""
     _require_positive(n)
     t, _ = unit_power(n)
-    count = F(3 * n, 2) * (t + 2)
-    if count.denominator != 1:
-        raise ConsistencyError(f"tree count for n={n} is not an integer: {count}")
-    return count.numerator
+    return 3 * n * (t + 2) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +149,7 @@ def spanning_trees(n: int) -> int:
 def det_ls(n: int) -> Fraction:
     """Determinant of the difference block, (t_n + 2) / 12**n."""
     _require_positive(n)
-    t, _ = _unit(n)
+    t, _ = unit_power(n)
     return F(t + 2, 12**n)
 
 
@@ -194,7 +169,7 @@ def coeff_t_3n_minus_1(n: int) -> Fraction:
     """Magnitude of the linear charpoly coefficient of the difference block,
     37 n u_n / (2 * 12**n)."""
     _require_positive(n)
-    _, u = _unit(n)
+    _, u = unit_power(n)
     return F(37 * n * u, 2 * 12**n)
 
 
@@ -219,7 +194,7 @@ def minor_det_ls(x: int, n: int) -> Fraction:
     _require_positive(n)
     if not 1 <= x <= 3 * n:
         raise ValueError(f"position {x} outside 1..{3 * n}")
-    _, u = _unit(n)
+    _, u = unit_power(n)
     if x % 3 == 1:
         return F(9 * u, 2 * 12**n)
     return F(7 * u, 12**n)

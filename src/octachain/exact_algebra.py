@@ -2,132 +2,30 @@
 
 Everything downstream that claims to be "exact" bottoms out here: matrix
 elimination (determinants, truncated determinant series, leading minors,
-adjugates), arithmetic in the quadratic field Q(sqrt(15)), integer powers of
-the fundamental unit 4 + sqrt(15), and string/decimal rendering of integers
-and rationals.  All matrix work is fraction-free elimination (Bareiss) on
-integer rows, so intermediate values stay integral; rational matrices are
-first cleared to integers row by row.  Every determinant, and the lowest
-coefficients of det(R + z*diag(shift)) that characteristic polynomials are
-read from, come from one banded forward elimination over truncated power
-series, :func:`det_series`; leading minors, which need the natural order, and
-the adjugate, which needs the full Gauss-Jordan sweep, come from ``_bareiss``.
+adjugates), integer powers of the fundamental unit 4 + sqrt(15), and
+string/decimal rendering of integers and rationals.  All matrix work is
+fraction-free elimination (Bareiss) on integer rows, so intermediate values
+stay integral; rational matrices are first cleared to integers row by row,
+and the integer kernels refuse anything that is not an integer (``int`` or a
+numpy integer) with ``TypeError`` rather than truncate it.  Every
+determinant, and the lowest coefficients of det(R + z*diag(shift)) that
+characteristic polynomials are read from, come from one banded forward
+elimination over truncated power series, :func:`det_series`; leading minors,
+which need the natural order, and the adjugate, which needs the full
+Gauss-Jordan sweep, come from ``_bareiss``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 
-class ConsistencyError(ArithmeticError):
-    """Two independent computations of the same quantity disagreed."""
-
-
 class SingularMatrixError(ArithmeticError):
     """A matrix that was required to be invertible is singular."""
-
-
-# ---------------------------------------------------------------------------
-# Q(sqrt(15))
-# ---------------------------------------------------------------------------
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-@dataclass(frozen=True)
-class QuadExt:
-    """An element a + b*sqrt(15) with rational a, b."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
-
-    @staticmethod
-    def _coerce(other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            return other
-        return QuadExt(_as_fraction(other), Fraction(0))
-
-    def __add__(self, other) -> "QuadExt":
-        other = self._coerce(other)
-        return QuadExt(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b)
-
-    def __sub__(self, other) -> "QuadExt":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "QuadExt":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "QuadExt":
-        other = self._coerce(other)
-        return QuadExt(
-            self.a * other.a + 15 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QuadExt":
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other) -> "QuadExt":
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, k: int) -> "QuadExt":
-        return quad_pow(self, k)
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm a**2 - 15*b**2 (multiplicative)."""
-        return self.a * self.a - 15 * self.b * self.b
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(15))")
-        return QuadExt(self.a / n, -self.b / n)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __str__(self) -> str:
-        if self.b < 0:
-            return f"{frac_to_str(self.a)} - {frac_to_str(-self.b)}*sqrt15"
-        return f"{frac_to_str(self.a)} + {frac_to_str(self.b)}*sqrt15"
-
-
-def quad_pow(x: QuadExt, k: int) -> QuadExt:
-    """x**k by binary exponentiation (k >= 0)."""
-    if k < 0:
-        return quad_pow(x.inverse(), -k)
-    result = QuadExt(1, 0)
-    base = x
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +88,18 @@ def _bareiss(rows: list[list[int]], order: int) -> tuple[list[int], int]:
 
 
 def _square_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    a = [[int(x) for x in row] for row in rows]
+    a = [[operator.index(x) for x in row] for row in rows]
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square")
     return a
+
+
+def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def _cleared_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -280,7 +186,7 @@ def det_series(
     """
     a = _square_int_rows(rows)
     n = len(a)
-    shift = [0] * n if shift is None else [int(s) for s in shift]
+    shift = [0] * n if shift is None else [operator.index(s) for s in shift]
     if len(shift) != n:
         raise ValueError("shift must have one entry per row")
     if terms < 1:

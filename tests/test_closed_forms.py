@@ -71,19 +71,6 @@ def test_xi_golden():
     assert cf.xi(3) == F(999, 70)
 
 
-def test_xi_dual_route_stays_consistent():
-    # xi() itself recomputes through the quadratic field and raises on
-    # any disagreement with the integer recurrence form
-    for n in range(1, 31):
-        cf.xi(n)
-
-
-def test_xi_detects_a_wrong_unit_power(monkeypatch):
-    monkeypatch.setattr(cf, "unit_power", lambda k: (2, 2))
-    with pytest.raises(xa.ConsistencyError):
-        cf.xi(3)
-
-
 def test_dk_golden():
     assert cf.dk_index(1) == F(1097, 15)
     assert cf.dk_index(2) == F(1346, 3)

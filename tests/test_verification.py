@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from octachain import cli
 from octachain import closed_forms as cf
+from octachain import oracles as orc
 from octachain import verification as ver
 
 EXPECTED_CHECK_NAMES = {
@@ -115,6 +117,31 @@ def test_mutated_closed_form_detected(monkeypatch):
     assert report.summary["failed"] > 0
     failing = {c.name for c in report.checks if not c.passed and not c.informational}
     assert "tree_count_oracle" in failing or "published_trees" in failing
+
+
+def _failing(report):
+    return {c.name for c in report.checks if not c.passed and not c.informational}
+
+
+def test_resistance_route_disagreement_is_a_fail_line(monkeypatch):
+    exact = orc.resistance_matrix_exact
+
+    def perturbed(g, ground=0):
+        r = [list(row) for row in exact(g, ground)]
+        r[0][1] += 1
+        r[1][0] += 1
+        return r
+
+    monkeypatch.setattr(orc, "resistance_matrix_exact", perturbed)
+    assert _failing(ver.run_verification(2)) == {"dk_resistance_route"}
+
+
+def test_wrong_unit_power_is_a_fail_line(monkeypatch, capsys):
+    monkeypatch.setattr(cf, "unit_power", lambda k: (2, 2))
+    failing = _failing(ver.run_verification(2))
+    assert {"xi_vieta", "ls_determinant", "tree_count_oracle"} <= failing
+    assert cli.main(["verify", "--n-max", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_invalid_n_max():
