@@ -210,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="add published-row comparison columns (dk rows are "
         "informational; a trees mismatch sets exit code 1)",
     )
-    p_table.set_defaults(handler=lambda args: _cmd_table(args, parser))
+    p_table.set_defaults(handler=lambda args: _cmd_table(args, p_table))
 
     p_verify = sub.add_parser("verify", help="run the full cross-check suite")
     p_verify.add_argument("--n-max", type=positive_int, default=6)
     p_verify.add_argument("--json-out", default=None)
-    p_verify.set_defaults(handler=lambda args: _cmd_verify(args, parser))
+    p_verify.set_defaults(handler=lambda args: _cmd_verify(args, p_verify))
 
     return parser
 

@@ -1,18 +1,17 @@
 """Exact arithmetic building blocks.
 
 Everything downstream that claims to be "exact" bottoms out here: matrix
-elimination (determinants, truncated determinant series, leading minors,
-adjugates), integer powers of the fundamental unit 4 + sqrt(15), and
+elimination (determinants, truncated determinant series, deleted and leading
+minors), integer powers of the fundamental unit 4 + sqrt(15), and
 string/decimal rendering of integers and rationals.  All matrix work is
 fraction-free elimination (Bareiss) on integer rows, so intermediate values
 stay integral; rational matrices are first cleared to integers row by row,
 and the integer kernels refuse anything that is not an integer (``int`` or a
-numpy integer) with ``TypeError`` rather than truncate it.  Every
-determinant, and the lowest coefficients of det(R + z*diag(shift)) that
-characteristic polynomials are read from, come from one banded forward
-elimination over truncated power series, :func:`det_series`; leading minors,
-which need the natural order, and the adjugate, which needs the full
-Gauss-Jordan sweep, come from ``_bareiss``.
+numpy integer) with ``TypeError`` rather than truncate it.  There is one
+elimination, :func:`det_series`: a banded forward elimination over truncated
+power series that gives every determinant, every minor (as the determinant
+of a submatrix) and the lowest coefficients of det(R + z*diag(shift)) that
+characteristic polynomials are read from.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ import operator
 import sys
 from fractions import Fraction
 from typing import Sequence
-
-
-class SingularMatrixError(ArithmeticError):
-    """A matrix that was required to be invertible is singular."""
 
 
 # ---------------------------------------------------------------------------
@@ -52,39 +47,6 @@ def unit_power(k: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # Exact linear algebra: fraction-free elimination
 # ---------------------------------------------------------------------------
-
-
-def _bareiss(rows: list[list[int]], order: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), in place.
-
-    Clears the first `order` columns of the integer rows above and below
-    each pivot, dividing exactly by the previous pivot, and swaps rows only
-    on a zero diagonal entry.  Returns ``(pivots, swaps)``: ``pivots[k]`` is
-    the order-k leading minor of the row-swapped matrix (``pivots[0] = 1``),
-    and the list stops short of ``order + 1`` entries if those columns are
-    singular.  With M the first `order` columns and B the rest (say an
-    appended identity), a full run leaves ``pivots[-1] * M**-1 * B`` in B.
-    """
-    pivots, swaps = [1], 0
-    for k in range(order):
-        if rows[k][k] == 0:
-            swap = next((i for i in range(k + 1, order) if rows[i][k] != 0), None)
-            if swap is None:
-                return pivots, swaps
-            rows[k], rows[swap] = rows[swap], rows[k]
-            swaps += 1
-        pivot_row, prev = rows[k], pivots[-1]
-        pivot, tail = pivot_row[k], pivot_row[k + 1 :]
-        for i, row in enumerate(rows):
-            if i != k:
-                factor = row[k]
-                row[k] = 0
-                row[k + 1 :] = [
-                    (pivot * x - factor * y) // prev
-                    for x, y in zip(row[k + 1 :], tail)
-                ]
-        pivots.append(pivot)
-    return pivots, swaps
 
 
 def _square_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -278,34 +240,15 @@ def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
 def leading_principal_minors(m: Sequence[Sequence]) -> list[Fraction]:
     """All leading principal minors det(m[:k, :k]) for k = 1..n.
 
-    They are the pivots of one elimination of the row-cleared matrix, each
-    divided by the scales of its rows.  If elimination had to swap rows
-    (a leading minor is zero), the pivots belong to a permuted matrix and
-    the minors are recomputed one by one instead.
+    The rows are cleared to integers once, and minor k is one
+    :func:`bareiss_det_int` of the k x k prefix of the cleared rows,
+    divided by the scales of its rows.
     """
     rows, scales = _cleared_rows(m)
-    n = len(rows)
-    pivots, swaps = _bareiss(rows, n)
-    if swaps or len(pivots) <= n:
-        return [det_fraction([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
-    return [Fraction(pivots[k], math.prod(scales[:k])) for k in range(1, n + 1)]
-
-
-def adjugate_int(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """``(c, c * M**-1)`` for a nonsingular integer matrix M, all integers.
-
-    One elimination of ``[M | I]``; ``c`` is det(M) up to the sign of the
-    row swaps it made, so ``c * M**-1`` is the adjugate up to that sign.
-    Raises :class:`SingularMatrixError` if M is singular.
-    """
-    a = _square_int_rows(rows)
-    n = len(a)
-    for i, row in enumerate(a):
-        row.extend(int(i == j) for j in range(n))
-    pivots, _ = _bareiss(a, n)
-    if len(pivots) <= n:
-        raise SingularMatrixError("matrix is singular")
-    return pivots[-1], [row[n:] for row in a]
+    return [
+        Fraction(bareiss_det_int([row[:k] for row in rows[:k]]), math.prod(scales[:k]))
+        for k in range(1, len(rows) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

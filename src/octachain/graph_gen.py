@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -162,12 +163,13 @@ def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:
 def _checked_edges(vertex_count: int, edges) -> tuple[tuple[int, int], ...]:
     """Edges as int pairs of a simple graph on vertices 0..vertex_count - 1.
 
-    Raises ValueError on a self-loop, an endpoint out of range, or an edge
-    given twice (in either orientation).
+    Raises TypeError on an endpoint that is not an integer (``int`` or a
+    numpy integer), and ValueError on a self-loop, an endpoint out of range,
+    or an edge given twice (in either orientation).
     """
     out, seen = [], set()
     for a, b in edges:
-        a, b = int(a), int(b)
+        a, b = operator.index(a), operator.index(b)
         if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         if not (0 <= a < vertex_count and 0 <= b < vertex_count):
@@ -186,7 +188,7 @@ def _graph_data(g) -> tuple[int, tuple[tuple[int, int], ...]]:
     if isinstance(g, ChainGraph):
         return g.vertex_count, g.edges
     vertex_count, edges = g
-    vertex_count = int(vertex_count)
+    vertex_count = operator.index(vertex_count)
     return vertex_count, _checked_edges(vertex_count, edges)
 
 

@@ -2,9 +2,9 @@
 
 Nothing in this module knows the chain formulas: eigenvalues come from a
 hand-rolled cyclic Jacobi iteration, characteristic polynomials (whole, or
-only their lowest coefficients) and Kemeny's constant from banded
-elimination over truncated power series, resistances from the exact integer
-adjugate of the grounded Laplacian, and tree counts from an exact cofactor.  Any
+only their lowest coefficients), Kemeny's constant and the
+degree-weighted resistance sum from banded elimination over truncated power
+series, and tree counts from an exact cofactor.  Any
 graph can be passed in, either a :class:`~octachain.graph_gen.ChainGraph`
 or a plain ``(vertex_count, edges)`` pair, which keeps the oracles honest:
 they are exercised on tiny hand-checkable graphs in the tests before being
@@ -19,7 +19,7 @@ from functools import lru_cache, wraps
 
 import numpy as np
 
-from .exact_algebra import _cleared_rows, adjugate_int, bareiss_det_int, det_series
+from .exact_algebra import _cleared_rows, bareiss_det_int, det_series
 from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian
 
@@ -132,7 +132,7 @@ def recip_sum_from_charpoly(coeffs) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact resistances, tree counts and the derived indices
+# Exact tree counts and the derived indices
 # ---------------------------------------------------------------------------
 
 
@@ -148,33 +148,6 @@ def _graph_cache(fn):
     wrapper.cache_clear = cached.cache_clear
     wrapper.cache_info = cached.cache_info
     return wrapper
-
-
-def resistance_matrix_exact(g, ground: int = 0):
-    """Effective resistance between every vertex pair, exactly.
-
-    Inverts the Laplacian grounded at `ground` through its integer adjugate;
-    the answer is independent of that choice, which the tests exercise
-    directly.
-    """
-    vertex_count, _ = _graph_data(g)
-    if not 0 <= ground < vertex_count:
-        raise ValueError("ground vertex out of range")
-    if not is_connected(g):
-        raise DisconnectedGraph("resistances need a connected graph")
-    lap = combinatorial_laplacian(g)
-    keep = [i for i in range(vertex_count) if i != ground]
-    det, adj = adjugate_int([[lap[i][j] for j in keep] for i in keep])
-    # adj / det is the grounded inverse G; padded with zeros at `ground`,
-    # every resistance is G_ii + G_jj - 2 G_ij
-    for row in adj:
-        row.insert(ground, 0)
-    adj.insert(ground, [0] * vertex_count)
-    diag = [adj[i][i] for i in range(vertex_count)]
-    return tuple(
-        tuple(F(diag[i] + diag[j] - 2 * x, det) for j, x in enumerate(row))
-        for i, row in enumerate(adj)
-    )
 
 
 @_graph_cache
@@ -195,15 +168,24 @@ def kemeny_oracle(g) -> Fraction:
 
 
 def dk_oracle(g) -> Fraction:
-    """Degree-weighted resistance sum over vertex pairs, d_i d_j r_ij."""
-    vertex_count, _ = _graph_data(g)
-    degrees = vertex_degrees(g)
-    r = resistance_matrix_exact(g)
-    return sum(
-        degrees[i] * degrees[j] * r[i][j]
-        for i in range(vertex_count)
-        for j in range(i + 1, vertex_count)
-    )
+    """Degree-weighted resistance sum over vertex pairs, d_i d_j r_ij.
+
+    With G the inverse of the Laplacian grounded at vertex 0 (padded with
+    zeros there) and r_ij = G_ii + G_jj - 2 G_ij, the sum is
+    2|E| * sum_i d_i G_ii - d^T G d.  Both terms come from two banded
+    determinants over the grounded Laplacian L0 and the degrees d0 of the
+    other vertices: det(L0 + z*diag(d0)) = tau + z * tau * tr(diag(d0) G),
+    and the bordered matrix [[L0, d0], [d0^T, 0]] has determinant
+    -tau * d0^T G d0, where tau = det(L0) is the spanning tree count.
+    """
+    if not is_connected(g):
+        raise DisconnectedGraph("resistances need a connected graph")
+    _, edges = _graph_data(g)
+    grounded = [row[1:] for row in combinatorial_laplacian(g)[1:]]
+    degrees = list(vertex_degrees(g)[1:])
+    tau, trace = det_series(grounded, degrees, 2)
+    bordered = [row + [d] for row, d in zip(grounded, degrees)] + [degrees + [0]]
+    return F(2 * len(edges) * trace + bareiss_det_int(bordered), tau)
 
 
 @_graph_cache

@@ -158,6 +158,24 @@ def test_table_bad_range():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["table", "dk", "--from", "5", "--to", "3"], "usage: octachain table "),
+        (["verify", "--json-out", "missing/r.json"], "usage: octachain verify "),
+    ],
+    ids=["table", "verify"],
+)
+def test_usage_errors_name_the_subcommand(capsys, monkeypatch, tmp_path, argv, usage):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(usage)
+
+
 def test_verify_passes(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code = run_cli(["verify", "--n-max", "2", "--json-out", str(out_file)])

@@ -1,12 +1,15 @@
 import importlib
 import pkgutil
 from collections import Counter
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import octachain
 from octachain import graph_gen as gg
+from octachain import oracles as orc
 
 
 Q1_EDGES = ((0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5))
@@ -157,6 +160,32 @@ def test_plain_graph_validation(edges):
     # duplicate in either orientation, self-loop, endpoint out of range
     with pytest.raises(ValueError):
         gg.vertex_degrees((2, edges))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        (3, [(0, 1.5), (1, 2)]),
+        (3, [(0, Fraction(1)), (1, 2)]),
+        (3.9, [(0, 1), (1, 2)]),
+        (Fraction(3), [(0, 1), (1, 2)]),
+    ],
+    ids=["float-id", "fraction-id", "float-count", "fraction-count"],
+)
+def test_plain_graph_rejects_non_integers(graph):
+    # int() would truncate these to a different graph
+    with pytest.raises(TypeError):
+        gg.vertex_degrees(graph)
+    with pytest.raises(TypeError):
+        orc.spanning_trees_oracle(graph)
+
+
+def test_plain_graph_accepts_numpy_integers():
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+    graph = (np.int64(3), [tuple(e) for e in edges])
+    assert gg.vertex_degrees(graph) == (1, 2, 1)
+    assert orc.spanning_trees_oracle(graph) == 1
+    assert orc.dk_oracle(graph) == 6
 
 
 def test_export_edgelist_golden():

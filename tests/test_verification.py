@@ -124,15 +124,8 @@ def _failing(report):
 
 
 def test_resistance_route_disagreement_is_a_fail_line(monkeypatch):
-    exact = orc.resistance_matrix_exact
-
-    def perturbed(g, ground=0):
-        r = [list(row) for row in exact(g, ground)]
-        r[0][1] += 1
-        r[1][0] += 1
-        return r
-
-    monkeypatch.setattr(orc, "resistance_matrix_exact", perturbed)
+    exact = orc.dk_oracle
+    monkeypatch.setattr(orc, "dk_oracle", lambda g: exact(g) + 1)
     assert _failing(ver.run_verification(2)) == {"dk_resistance_route"}
 
 
