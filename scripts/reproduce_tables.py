@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from octachain import reference_data as ref
-from octachain.closed_forms import dk_index, spanning_trees
+from octachain.closed_forms import table_values
 from octachain.exact_algebra import frac_to_decimal_str, frac_to_str
 from octachain.verification import report_to_json, run_verification
 
@@ -38,8 +38,8 @@ def write_dk_table(path: Path) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "exact", "rounded", "published", "match"])
-        for n in DK_RANGE:
-            value = dk_index(n)
+        values = table_values("dk", DK_RANGE[0], DK_RANGE[-1])
+        for n, value in zip(DK_RANGE, values):
             rounded = frac_to_decimal_str(value, 2)
             published = ref.PUBLISHED_DK[n]
             match = rounded == published
@@ -57,8 +57,8 @@ def write_tree_table(path: Path) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "computed", "published", "match", "note"])
-        for n in TREE_RANGE:
-            value = spanning_trees(n)
+        values = table_values("trees", TREE_RANGE[0], TREE_RANGE[-1])
+        for n, value in zip(TREE_RANGE, values):
             published = ref.PUBLISHED_TREES[n]
             match = value == published
             if not match:

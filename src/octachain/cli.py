@@ -31,6 +31,7 @@ from . import verification as ver
 from .exact_algebra import frac_to_decimal_str, frac_to_str
 
 _PUBLISHED = {"dk": ref.PUBLISHED_DK, "trees": ref.PUBLISHED_TREES}
+_PLACES = {"dk": 2, "kemeny": 6}  # decimal places of the rendered value
 
 
 def positive_int(text: str) -> int:
@@ -89,18 +90,6 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _table_row(which: str, n: int) -> tuple[str, str]:
-    """(exact string, rendered value) for one table row."""
-    if which == "dk":
-        exact = cf.dk_index(n)
-        return frac_to_str(exact), frac_to_decimal_str(exact, 2)
-    if which == "kemeny":
-        exact = cf.kemeny(n)
-        return frac_to_str(exact), frac_to_decimal_str(exact, 6)
-    count = cf.spanning_trees(n)
-    return str(count), str(count)
-
-
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     if args.end < args.start:
         parser.error("--to must not be smaller than --from")
@@ -111,11 +100,17 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
         if args.end > last:
             parser.error(f"published {args.which} rows stop at n={last}")
 
+    values = cf.table_values(args.which, args.start, args.end)
     rows = []
     strict_mismatch = False
-    for n in range(args.start, args.end + 1):
-        exact, value = _table_row(args.which, n)
-        row = {"n": n, "exact": exact, "value": value}
+    for n, exact in enumerate(values, args.start):
+        if args.which == "trees":
+            value = exact_text = str(exact)
+        else:
+            value = frac_to_decimal_str(exact, _PLACES[args.which])
+            # only the json output prints the exact column
+            exact_text = frac_to_str(exact) if args.format == "json" else None
+        row = {"n": n, "exact": exact_text, "value": value}
         if args.compare_paper:
             published = str(_PUBLISHED[args.which][n])
             row["published"] = published

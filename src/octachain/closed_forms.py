@@ -8,6 +8,12 @@ reads the integer pair (t_n, u_n) from
 done here.  The verification layer compares each formula with an oracle that
 recomputes it from the graph.
 
+The per-n functions power the unit once per call.  A run of consecutive n
+is served by :func:`table_values`, which powers it once for the first row
+and steps (t_n, u_n) to each next row with one multiplication by the unit
+(:func:`~octachain.exact_algebra.unit_powers`); both evaluate the same
+formulas on (n, t_n, u_n).
+
 Quantities provided (for the closed chain with parameter n):
 
 * ``sum_recip_alpha`` / ``xi`` -- reciprocal eigenvalue sums of the two
@@ -15,6 +21,7 @@ Quantities provided (for the closed chain with parameter n):
 * ``kemeny`` and ``dk_index`` -- Kemeny's constant and the degree-weighted
   resistance (degree-Kirchhoff) index, related by dk = 14 n * kemeny;
 * ``spanning_trees`` -- the spanning tree count 3n (t_n + 2) / 2;
+* ``table_values`` -- dk, Kemeny or tree-count rows for n = start..end;
 * minor ladders ``w_minor`` / ``q_minor`` and the vertex-deleted
   determinants ``minor_det_la`` / ``minor_det_ls`` with their coefficient
   sums, feeding the verification layer.
@@ -26,7 +33,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import frac_to_str, int_to_str, unit_power
+from .exact_algebra import frac_to_str, int_to_str, unit_power, unit_powers
 
 F = Fraction
 
@@ -118,27 +125,65 @@ def xi(n: int) -> Fraction:
     """Sum of reciprocals of the difference-block eigenvalues,
     37 n u_n / (2 (t_n + 2))."""
     _require_positive(n)
-    t, u = unit_power(n)
-    return F(37 * n * u, 2 * (t + 2))
+    return _xi(n, *unit_power(n))
 
 
 def kemeny(n: int) -> Fraction:
     """Kemeny's constant of the random walk on the closed chain."""
     _require_positive(n)
-    return sum_recip_alpha(n) + xi(n)
+    return _kemeny(n, *unit_power(n))
 
 
 def dk_index(n: int) -> Fraction:
     """Degree-weighted resistance index sum d_i d_j r_ij over vertex pairs."""
     _require_positive(n)
-    return 14 * n * kemeny(n)
+    return _dk_index(n, *unit_power(n))
 
 
 def spanning_trees(n: int) -> int:
     """Number of spanning trees, 3n (t_n + 2) / 2 (t_n is even)."""
     _require_positive(n)
-    t, _ = unit_power(n)
+    return _spanning_trees(n, *unit_power(n))
+
+
+# the formulas on (n, t_n, u_n), shared by the per-n functions above and by
+# the stepped rows of table_values
+
+
+def _xi(n: int, t: int, u: int) -> Fraction:
+    return F(37 * n * u, 2 * (t + 2))
+
+
+def _kemeny(n: int, t: int, u: int) -> Fraction:
+    return sum_recip_alpha(n) + _xi(n, t, u)
+
+
+def _dk_index(n: int, t: int, u: int) -> Fraction:
+    return 14 * n * _kemeny(n, t, u)
+
+
+def _spanning_trees(n: int, t: int, u: int) -> int:
     return 3 * n * (t + 2) // 2
+
+
+_TABLES = {"dk": _dk_index, "kemeny": _kemeny, "trees": _spanning_trees}
+
+
+def table_values(which: str, start: int, end: int) -> list:
+    """The values of ``dk_index``, ``kemeny`` or ``spanning_trees`` (`which`
+    is "dk", "kemeny" or "trees") for n = start..end, in order.
+
+    The unit is powered once, for `start`; each later row steps (t_n, u_n)
+    by one multiplication along :func:`~octachain.exact_algebra.unit_powers`.
+    """
+    if which not in _TABLES:
+        raise ValueError(f"no table {which!r}")
+    _require_positive(start)
+    formula = _TABLES[which]
+    return [
+        formula(n, t, u)
+        for n, (t, u) in zip(range(start, end + 1), unit_powers(start))
+    ]
 
 
 # ---------------------------------------------------------------------------

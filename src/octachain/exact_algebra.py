@@ -2,8 +2,9 @@
 
 Everything downstream that claims to be "exact" bottoms out here: matrix
 elimination (determinants, truncated determinant series, deleted and leading
-minors), integer powers of the fundamental unit 4 + sqrt(15), and
-string/decimal rendering of integers and rationals.  All matrix work is
+minors), integer powers of the fundamental unit 4 + sqrt(15) (one at a
+time, or stepped along consecutive exponents), and string/decimal
+rendering of integers and rationals.  All matrix work is
 fraction-free elimination (Bareiss) on integer rows, so intermediate values
 stay integral; rational matrices are first cleared to integers row by row,
 and the integer kernels refuse anything that is not an integer (``int`` or a
@@ -20,7 +21,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +43,22 @@ def unit_power(k: int) -> tuple[int, int]:
         if bit == "1":
             a, b = 4 * a + 15 * b, a + 4 * b
     return 2 * a, 2 * b
+
+
+def unit_powers(start: int) -> Iterator[tuple[int, int]]:
+    """(t_k, u_k) for k = start, start + 1, ... as in :func:`unit_power`.
+
+    One :func:`unit_power` call, then one multiplication by the unit per
+    term: (t, u) -> (4t + 15u, t + 4u).  A negative start raises here, not
+    at the first ``next()``.
+    """
+    return _unit_steps(*unit_power(start))
+
+
+def _unit_steps(t: int, u: int) -> Iterator[tuple[int, int]]:
+    while True:
+        yield t, u
+        t, u = 4 * t + 15 * u, t + 4 * u
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +300,19 @@ def frac_to_decimal_str(q: Fraction, places: int) -> str:
     """Fixed-point decimal rendering with banker's (half-even) rounding.
 
     Rounding is done on exact integer arithmetic so ties are decided
-    correctly no matter how long the repeating expansion is.
+    correctly no matter how long the repeating expansion is, and the digits
+    are rendered by :func:`int_to_str`, so any rational is accepted.
     """
     q = _as_fraction(q)
     if places < 0:
         raise ValueError("places must be non-negative")
-    sign = "-" if q < 0 else ""
-    scaled = abs(q) * 10**places
-    whole, remainder = divmod(scaled.numerator, scaled.denominator)
+    p, d = q.numerator, q.denominator
+    whole, remainder = divmod(abs(p) * 10**places, d)
     doubled = 2 * remainder
-    if doubled > scaled.denominator or (
-        doubled == scaled.denominator and whole % 2 == 1
-    ):
+    if doubled > d or (doubled == d and whole % 2 == 1):
         whole += 1
-    digits = str(whole).rjust(places + 1, "0")
+    sign = "-" if p < 0 else ""
+    digits = int_to_str(whole).rjust(places + 1, "0")
     if places == 0:
         return f"{sign}{digits}"
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

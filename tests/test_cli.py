@@ -8,6 +8,8 @@ import pytest
 
 from octachain import cli
 from octachain import closed_forms as cf
+from octachain import exact_algebra as xa
+from octachain import reference_data as ref
 
 
 def run_cli(args):
@@ -103,11 +105,54 @@ def test_table_trees_compare_all_match(capsys):
 
 
 def test_table_trees_mutation_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cf, "spanning_trees", lambda n: 7)
+    monkeypatch.setattr(cf, "table_values", lambda which, start, end: [7, 7])
     code = run_cli(["table", "trees", "--from", "1", "--to", "2", "--compare-paper"])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].endswith(",no")
+
+
+def _reference_table(which, start, end, fmt, compare):
+    """The table output rendered row by row from the per-n closed forms."""
+    rows = []
+    for n in range(start, end + 1):
+        if which == "trees":
+            exact = value = str(cf.spanning_trees(n))
+        else:
+            q, places = (cf.dk_index(n), 2) if which == "dk" else (cf.kemeny(n), 6)
+            exact, value = xa.frac_to_str(q), xa.frac_to_decimal_str(q, places)
+        row = {"n": n, "exact": exact, "value": value}
+        if compare:
+            published = {"dk": ref.PUBLISHED_DK, "trees": ref.PUBLISHED_TREES}[which][n]
+            row["published"] = str(published)
+            row["match"] = value == str(published)
+        rows.append(row)
+    if fmt == "json":
+        return json.dumps({"which": which, "rows": rows}) + "\n"
+    lines = [f"n,{which}" + (",published,match" if compare else "")]
+    for row in rows:
+        line = f"{row['n']},{row['value']}"
+        if compare:
+            line += f",{row['published']},{'yes' if row['match'] else 'no'}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "which, end, compare",
+    [
+        ("dk", 300, False),
+        ("kemeny", 300, False),
+        ("trees", 300, False),
+        ("dk", 30, True),
+        ("trees", 12, True),
+    ],
+)
+def test_table_matches_per_n_rendering(capsys, which, end, compare, fmt):
+    argv = ["table", which, "--to", str(end), "--format", fmt]
+    assert run_cli(argv + (["--compare-paper"] if compare else [])) == 0
+    assert capsys.readouterr().out == _reference_table(which, 1, end, fmt, compare)
 
 
 def test_table_kemeny_json(capsys):

@@ -165,6 +165,24 @@ def test_invalid_n():
             fn(0)
 
 
+PER_N = {"dk": cf.dk_index, "kemeny": cf.kemeny, "trees": cf.spanning_trees}
+
+
+@pytest.mark.parametrize("which", sorted(PER_N))
+@pytest.mark.parametrize("start, end", [(1, 200), (97, 140)])
+def test_table_values_match_the_per_n_functions(which, start, end):
+    want = [PER_N[which](n) for n in range(start, end + 1)]
+    assert cf.table_values(which, start, end) == want
+
+
+def test_table_values_rejects_bad_requests():
+    with pytest.raises(ValueError):
+        cf.table_values("xi", 1, 3)
+    with pytest.raises(ValueError):
+        cf.table_values("dk", 0, 3)
+    assert cf.table_values("trees", 5, 4) == []
+
+
 def test_spectral_summary_json():
     s = cf.spectral_summary(1)
     data = json.loads(cf.summary_json(s))

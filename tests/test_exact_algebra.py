@@ -25,6 +25,17 @@ def test_lucas_values():
         xa.unit_power(-1)
 
 
+@pytest.mark.parametrize("start", [0, 1, 2, 97, 4790])
+def test_unit_powers_step_along_unit_power(start):
+    stepped = itertools.islice(xa.unit_powers(start), 300)
+    assert list(stepped) == [xa.unit_power(k) for k in range(start, start + 300)]
+
+
+def test_unit_powers_reject_a_negative_start():
+    with pytest.raises(ValueError):
+        xa.unit_powers(-1)
+
+
 def test_lucas_norm_identity():
     for k in range(41):
         t, u = xa.unit_power(k)
@@ -180,3 +191,30 @@ def test_decimal_rendering_half_even():
     assert xa.frac_to_decimal_str(F(1, 8), 2) == "0.12"
     assert xa.frac_to_decimal_str(F(3, 8), 2) == "0.38"
     assert xa.frac_to_decimal_str(F(5), 2) == "5.00"
+
+
+def _reference_decimal(q: Fraction, places: int) -> str:
+    # Fraction.__round__ rounds half to even
+    digits = str(round(abs(q), places) * 10**places).rjust(places + 1, "0")
+    sign = "-" if q < 0 else ""
+    return sign + (digits if places == 0 else f"{digits[:-places]}.{digits[-places:]}")
+
+
+places_st = st.integers(min_value=0, max_value=8)
+# exact ties: an odd number of half units in the last place
+ties = places_st.flatmap(
+    lambda p: st.tuples(
+        st.integers(-(10**6), 10**6).map(lambda k: F(2 * k + 1, 2 * 10**p)), st.just(p)
+    )
+)
+
+
+@given(st.one_of(st.tuples(st.fractions(), places_st), ties))
+def test_decimal_rendering_matches_fraction_rounding(case):
+    q, places = case
+    assert xa.frac_to_decimal_str(q, places) == _reference_decimal(q, places)
+
+
+def test_decimal_rendering_past_the_digit_limit():
+    assert xa.frac_to_decimal_str(F(10**5000), 0) == "1" + "0" * 5000
+    assert xa.frac_to_decimal_str(F(-(10**5000), 3), 1) == "-3" + "3" * 4999 + ".3"
