@@ -261,10 +261,12 @@ class SpectralSummary:
 
 
 def spectral_summary(n: int) -> SpectralSummary:
-    """Every index for one n, with xi(n) evaluated once: kemeny and dk are
-    derived from it as in :func:`kemeny` and :func:`dk_index`."""
+    """Every index for one n, from one power of the unit and one xi(n):
+    kemeny and dk are derived from it as in :func:`kemeny` and
+    :func:`dk_index`."""
     _require_positive(n)
-    alpha, rho = sum_recip_alpha(n), xi(n)
+    t, u = unit_power(n)
+    alpha, rho = sum_recip_alpha(n), _xi(n, t, u)
     k = alpha + rho
     return SpectralSummary(
         n=n,
@@ -272,7 +274,7 @@ def spectral_summary(n: int) -> SpectralSummary:
         sum_recip_rho=rho,
         dk=14 * n * k,
         kemeny=k,
-        tau=spanning_trees(n),
+        tau=_spanning_trees(n, t, u),
     )
 
 

@@ -1,16 +1,23 @@
 """Laplacian matrices of chain graphs and their symmetric reductions.
 
+Every matrix here comes from one walk over the edge list: a diagonal (the
+degrees, or 1 for a normalized matrix) minus a coupling weight(i, k, d) at
+each edge end (i, k).  The combinatorial, normalized and walk Laplacians
+differ only in that diagonal and weight.
+
 The normalized Laplacian of the twisted closed chain commutes with the
 top/bottom mirror swap of :func:`graph_gen.mirror_automorphism`, so folding
 by ``U = (1/sqrt(2)) [[I, I], [I, -I]]`` block-diagonalizes it into a "sum"
-block (diagonal couplings reinforced) and a "difference" block.  Both blocks
-are almost tridiagonal: a band whose entries repeat with period three, plus
-two corner entries from the seam.
+block (diagonal couplings reinforced) and a "difference" block.  The walk
+makes that fold itself: it keeps the top rows and adds each bottom column,
+with sign + or -, onto its mirror column.  Both blocks are almost
+tridiagonal: a band whose entries repeat with period three, plus two corner
+entries from the seam.
 
 Every block entry is +-1/sqrt(d_i d_j), so conjugating by diag(sqrt(d))
 gives a rational matrix with the same characteristic polynomial *and* the
-same leading principal minors.  :func:`rational_block_image` folds that
-exact image out of the graph's edges, so determinant work can stay in
+same leading principal minors.  :func:`rational_block_image` is the same
+fold with the exact weight 1/d_j, so determinant work can stay in
 :class:`fractions.Fraction`; a phase section is a principal slice of it.
 """
 
@@ -35,62 +42,60 @@ F = Fraction
 _PHASES = {"A": (0, 1, 2), "S": (0, 1)}
 
 
-def adjacency_matrix(g) -> list[list[int]]:
+def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
+    """Rows of diag(unit or d) minus weight(i, k, d) at (i, k) for every edge
+    end (i, k), with d the vertex degrees.
+
+    A ``unit`` diagonal (1.0 or Fraction(1)) makes a normalized matrix, so
+    every degree must be positive; without it the degrees sit on the
+    diagonal.  With a ``sign`` the graph is the closed chain: only its top
+    3n rows are kept, and a bottom column k is folded onto its mirror column
+    with that sign.
+    """
     vertex_count, edges = _graph_data(g)
-    a = [[0] * vertex_count for _ in range(vertex_count)]
-    for i, j in edges:
-        a[i][j] = 1
-        a[j][i] = 1
-    return a
+    d = vertex_degrees(g)
+    if unit is not None and 0 in d:
+        raise ValueError("normalized Laplacian needs every degree positive")
+    size, mirror = vertex_count, None
+    if sign is not None:
+        size, mirror = vertex_count // 2, mirror_automorphism(g)
+    zero = 0 if unit is None else unit * 0
+    out = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        out[i][i] = d[i] if unit is None else unit
+    for a, b in edges:
+        for i, k in ((a, b), (b, a)):
+            if i < size:
+                j, s = (k, 1) if k < size else (mirror[k], sign)
+                out[i][j] -= s * weight(i, k, d)
+    return out
+
+
+def _normalized(g, sign=None) -> np.ndarray:
+    # the integer product d_i * d_k first, so the matrix is exactly symmetric
+    rows = _edge_walk(g, lambda i, k, d: 1.0 / math.sqrt(d[i] * d[k]), 1.0, sign)
+    return np.array(rows, dtype=float).reshape(len(rows), len(rows))
 
 
 def combinatorial_laplacian(g) -> list[list[int]]:
     """Integer matrix D - A."""
-    lap = [[-x for x in row] for row in adjacency_matrix(g)]
-    for i, d in enumerate(vertex_degrees(g)):
-        lap[i][i] = d
-    return lap
+    return _edge_walk(g, lambda i, k, d: 1)
 
 
 def normalized_laplacian(g) -> np.ndarray:
-    """Float matrix I - D^(-1/2) A D^(-1/2).
-
-    Off-diagonal entries are computed as -1/sqrt(d_i * d_j) with the integer
-    product formed first, so the matrix is exactly symmetric.
-    """
-    vertex_count, edges = _graph_data(g)
-    d = vertex_degrees(g)
-    if any(x == 0 for x in d):
-        raise ValueError("normalized Laplacian needs every degree positive")
-    m = np.zeros((vertex_count, vertex_count))
-    np.fill_diagonal(m, 1.0)
-    for i, j in edges:
-        m[i, j] = m[j, i] = -1.0 / math.sqrt(d[i] * d[j])
-    return m
+    """Float matrix I - D^(-1/2) A D^(-1/2), entries -1/sqrt(d_i * d_j)."""
+    return _normalized(g)
 
 
 def rational_walk_laplacian(g) -> list[list[Fraction]]:
     """Exact matrix I - D^(-1) A; similar to the normalized Laplacian."""
-    vertex_count, edges = _graph_data(g)
-    d = vertex_degrees(g)
-    if any(x == 0 for x in d):
-        raise ValueError("walk Laplacian needs every degree positive")
-    m = [[F(0)] * vertex_count for _ in range(vertex_count)]
-    for i in range(vertex_count):
-        m[i][i] = F(1)
-    for i, j in edges:
-        m[i][j] = F(-1, d[i])
-        m[j][i] = F(-1, d[j])
-    return m
+    return _edge_walk(g, lambda i, k, d: F(1, d[i]), F(1))
 
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The four 3n x 3n pieces of the folded normalized Laplacian."""
+    """The two 3n x 3n blocks of the folded normalized Laplacian."""
 
-    n: int
-    l_v1v1: np.ndarray
-    l_v1v2: np.ndarray
     l_a: np.ndarray
     l_s: np.ndarray
 
@@ -102,18 +107,8 @@ def block_decompose(n: int) -> BlockDecomposition:
     On the top vertices the matrix is [[X, Y], [Y, X]], Y coupling vertex i
     with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
     """
-    m = 3 * n
     g = build_moebius_octagonal(n)
-    full = normalized_laplacian(g)
-    l_v1v1 = full[:m, :m].copy()
-    l_v1v2 = full[:m, list(mirror_automorphism(g)[:m])]
-    return BlockDecomposition(
-        n=n,
-        l_v1v1=l_v1v1,
-        l_v1v2=l_v1v2,
-        l_a=l_v1v1 + l_v1v2,
-        l_s=l_v1v1 - l_v1v2,
-    )
+    return BlockDecomposition(l_a=_normalized(g, 1), l_s=_normalized(g, -1))
 
 
 def _check_phase(family: str, phase: int, m: int) -> None:
@@ -145,15 +140,7 @@ def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
     vertices is (L[i][j] +- L[i][sigma(j)]) / d_j, + for "A" and - for "S":
     the transpose of the folded walk matrix I - D^(-1) A.
     """
-    m = 3 * n
-    _check_phase(family, 0, m)
-    g = build_moebius_octagonal(n)
-    mirror, d = mirror_automorphism(g), g.degrees
+    _check_phase(family, 0, 3 * n)
     sign = 1 if family == "A" else -1
-    out = [[F(0)] * i + [F(1)] + [F(0)] * (m - 1 - i) for i in range(m)]
-    for a, b in g.edges:
-        for i, k in ((a, b), (b, a)):
-            if i < m:
-                j, s = (k, 1) if k < m else (mirror[k], sign)
-                out[i][j] -= F(s, d[j])
-    return out
+    g = build_moebius_octagonal(n)
+    return _edge_walk(g, lambda i, k, d: F(1, d[k]), F(1), sign)

@@ -52,6 +52,8 @@ def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[
     happen within ``max_sweeps`` sweeps.
     """
     a = np.array(m, dtype=float)
+    if a.shape == (0,):  # the empty list is the 0 x 0 matrix
+        a = a.reshape(0, 0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():

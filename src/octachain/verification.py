@@ -41,6 +41,8 @@ from . import laplacian as lap
 from . import oracles as orc
 from . import reference_data as ref
 
+_EIGEN_TOL = 1e-8  # absolute tolerance of the numeric spectrum checks
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -64,10 +66,9 @@ class VerificationReport:
 class _Chain:
     """The artifacts of one chain size, each built on first use and shared."""
 
-    def __init__(self, n: int, eigen_tol: float):
+    def __init__(self, n: int):
         self.n = n
         self.m = 3 * n
-        self.eigen_tol = eigen_tol
 
     @cached_property
     def graph(self):
@@ -179,27 +180,27 @@ def _block_spectrum_union(c: _Chain) -> dict:
     )
     worst = max(abs(a - b) for a, b in zip(c.spectrum, union))
     return {
-        "expected": f"gap <= {c.eigen_tol:g}",
+        "expected": f"gap <= {_EIGEN_TOL:g}",
         "actual": f"gap {worst:.3e}",
         "mode": "numeric",
-        "tolerance": c.eigen_tol,
-        "passed": len(c.spectrum) == len(union) and worst <= c.eigen_tol,
+        "tolerance": _EIGEN_TOL,
+        "passed": len(c.spectrum) == len(union) and worst <= _EIGEN_TOL,
     }
 
 
 def _lambda_max_bipartite(c: _Chain) -> dict:
     lam_max = c.spectrum[-1]
     if c.bipartite[0]:
-        passed = abs(lam_max - 2.0) <= c.eigen_tol
+        passed = abs(lam_max - 2.0) <= _EIGEN_TOL
         expected = "max eigenvalue == 2 (bipartite)"
     else:
-        passed = lam_max < 2.0 - c.eigen_tol
+        passed = lam_max < 2.0 - _EIGEN_TOL
         expected = "max eigenvalue < 2 (not bipartite)"
     return {
         "expected": expected,
         "actual": f"max eigenvalue {lam_max:.12f}",
         "mode": "numeric",
-        "tolerance": c.eigen_tol,
+        "tolerance": _EIGEN_TOL,
         "passed": passed,
     }
 
@@ -279,12 +280,12 @@ _CHECKS: list[tuple[str, Callable[[_Chain], dict | None]]] = [
 ]
 
 
-def run_verification(n_max: int, eigen_tol: float = 1e-8) -> VerificationReport:
+def run_verification(n_max: int) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     checks: list[CheckResult] = []
     for n in range(1, n_max + 1):
-        chain = _Chain(n, eigen_tol)
+        chain = _Chain(n)
         for name, check in _CHECKS:
             fields = check(chain)
             if fields is not None:

@@ -195,6 +195,24 @@ def test_spectral_summary_json():
     assert data["dk_decimal"] == pytest.approx(73.1333333333333, abs=1e-12)
 
 
+def test_spectral_summary_powers_the_unit_once(monkeypatch):
+    n = 20000
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return xa.unit_power(k)
+
+    monkeypatch.setattr(cf, "unit_power", counted)
+    s = cf.spectral_summary(n)
+    assert calls == [n]
+    assert s.sum_recip_alpha == cf.sum_recip_alpha(n)
+    assert s.sum_recip_rho == cf.xi(n)
+    assert s.kemeny == cf.kemeny(n)
+    assert s.dk == cf.dk_index(n)
+    assert s.tau == cf.spanning_trees(n)
+
+
 def test_spectral_summary_json_past_the_digit_limit():
     # tau(4795) has more digits than str() renders by default
     s = cf.spectral_summary(4795)

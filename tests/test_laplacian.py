@@ -51,6 +51,15 @@ def test_normalized_laplacian_rejects_isolated_vertex():
     )
     with pytest.raises(ValueError):
         lap.normalized_laplacian(g)
+    with pytest.raises(ValueError):
+        lap.rational_walk_laplacian(g)
+    # D - A needs no inverse degree: the isolated vertex is a zero row
+    assert lap.combinatorial_laplacian(g)[6] == [0] * 7
+
+
+def test_empty_graph_gives_the_empty_matrix():
+    assert lap.normalized_laplacian((0, ())).shape == (0, 0)
+    assert lap.combinatorial_laplacian((0, ())) == []
 
 
 def test_walk_laplacian():
@@ -87,15 +96,28 @@ def test_block_decompose_structure():
     for n in range(1, 9):
         b = lap.block_decompose(n)
         m = 3 * n
-        assert b.l_v1v1.shape == b.l_v1v2.shape == (m, m)
-        assert np.array_equal(b.l_a, b.l_v1v1 + b.l_v1v2)
-        assert np.array_equal(b.l_s, b.l_v1v1 - b.l_v1v2)
-        assert np.max(np.abs(b.l_v1v2 - b.l_v1v2.T)) == 0.0
+        # the top-vertex pieces [[X, Y], [Y, X]] of the unfolded matrix
+        x, y = (b.l_a + b.l_s) / 2, (b.l_a - b.l_s) / 2
+        assert x.shape == y.shape == (m, m)
+        assert np.array_equal(b.l_a, x + y)
+        assert np.array_equal(b.l_s, x - y)
+        assert np.max(np.abs(y - y.T)) == 0.0
         # rung couplings sit on the diagonal at chain positions 1 mod 3
         for j in range(m):
             expected = -1 / 3 if j % 3 == 0 else 0.0
-            assert b.l_v1v2[j, j] == pytest.approx(expected, abs=1e-15)
-        assert b.l_v1v2[0, m - 1] == pytest.approx(-S6, abs=1e-15)
+            assert y[j, j] == pytest.approx(expected, abs=1e-15)
+        assert y[0, m - 1] == pytest.approx(-S6, abs=1e-15)
+
+
+def test_float_blocks_are_the_rational_images_conjugated():
+    # block = D^(-1/2) R D^(1/2), R the exact image of the same fold
+    for n in range(1, 9):
+        b = lap.block_decompose(n)
+        root = np.sqrt(np.array(gg.build_moebius_octagonal(n).degrees[: 3 * n]))
+        for family, block in (("A", b.l_a), ("S", b.l_s)):
+            image = np.array(lap.rational_block_image(n, family), dtype=float)
+            conjugated = image * root[np.newaxis, :] / root[:, np.newaxis]
+            assert np.max(np.abs(block - conjugated)) <= 1e-15
 
 
 def test_la_zero_mode():

@@ -22,6 +22,14 @@ def test_jacobi_identity():
     assert eig == [1.0] * 5
 
 
+def test_empty_list_is_the_empty_matrix():
+    assert orc.eigenvalues_symmetric([]) == []
+    assert orc.eigenvalues_symmetric(np.zeros((0, 0))) == []
+    assert orc.charpoly_exact([]) == [1]
+    with pytest.raises(ValueError, match="square"):
+        orc.eigenvalues_symmetric([1.0])
+
+
 def test_jacobi_known_2x2():
     eig = orc.eigenvalues_symmetric([[0.0, 1.0], [1.0, 0.0]])
     assert eig[0] == pytest.approx(-1.0, abs=1e-12)
