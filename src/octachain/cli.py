@@ -57,30 +57,20 @@ def _cmd_graph(args) -> int:
     return 0
 
 
-def _labelled_spectrum(n: int) -> list[tuple[float, str]]:
-    blocks = lap.block_decompose(n)
-    pairs = [(v, "A") for v in orc.eigenvalues_symmetric(blocks.l_a)]
-    pairs += [(v, "S") for v in orc.eigenvalues_symmetric(blocks.l_s)]
-    return sorted(pairs)
-
-
 def _cmd_spectrum(args) -> int:
-    if args.matrix == "full":
-        pairs = _labelled_spectrum(args.n)
-    else:
-        blocks = lap.block_decompose(args.n)
-        chosen = blocks.l_a if args.matrix == "A" else blocks.l_s
-        pairs = [(v, args.matrix) for v in orc.eigenvalues_symmetric(chosen)]
+    full = args.matrix == "full"
+    pairs = sorted(
+        (v, family)
+        for family in ("AS" if full else args.matrix)
+        for v in orc.eigenvalues_symmetric(lap.block_decompose(args.n, family))
+    )
 
     if args.format == "csv":
         lines = ["index,eigenvalue,block"]
         lines += [f"{i},{v:.17g},{b}" for i, (v, b) in enumerate(pairs)]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        if args.matrix == "full":
-            eigenvalues = [{"value": v, "block": b} for v, b in pairs]
-        else:
-            eigenvalues = [v for v, _ in pairs]
+        eigenvalues = [{"value": v, "block": b} if full else v for v, b in pairs]
         sys.stdout.write(
             json.dumps(
                 {"n": args.n, "matrix": args.matrix, "eigenvalues": eigenvalues}

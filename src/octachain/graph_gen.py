@@ -89,7 +89,6 @@ def build_moebius_octagonal(n: int) -> ChainGraph:
     return g
 
 
-@lru_cache(maxsize=32)
 def build_linear_octagonal(n: int) -> ChainGraph:
     """Open chain of n octagons on 6n + 2 vertices and 7n + 1 edges."""
     if n < 1:
@@ -183,12 +182,14 @@ def _checked_edges(vertex_count: int, edges) -> tuple[tuple[int, int], ...]:
 
 
 def _graph_data(g) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``(vertex_count, edges)`` of a ChainGraph, or of a plain pair after
-    :func:`_checked_edges`."""
+    """``(vertex_count, edges)`` of a ChainGraph, or of a plain pair with a
+    non-negative vertex count after :func:`_checked_edges`."""
     if isinstance(g, ChainGraph):
         return g.vertex_count, g.edges
     vertex_count, edges = g
     vertex_count = operator.index(vertex_count)
+    if vertex_count < 0:
+        raise ValueError("vertex count must not be negative")
     return vertex_count, _checked_edges(vertex_count, edges)
 
 

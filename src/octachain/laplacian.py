@@ -19,12 +19,14 @@ gives a rational matrix with the same characteristic polynomial *and* the
 same leading principal minors.  :func:`rational_block_image` is the same
 fold with the exact weight 1/d_j, so determinant work can stay in
 :class:`fractions.Fraction`; a phase section is a principal slice of it.
+Both the float and the exact block are asked for by family, "A" (sum) or
+"S" (difference): ``block_decompose(n, family)`` and
+``rational_block_image(n, family)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -92,23 +94,19 @@ def rational_walk_laplacian(g) -> list[list[Fraction]]:
     return _edge_walk(g, lambda i, k, d: F(1, d[i]), F(1))
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """The two 3n x 3n blocks of the folded normalized Laplacian."""
-
-    l_a: np.ndarray
-    l_s: np.ndarray
-
-
-@lru_cache(maxsize=32)
-def block_decompose(n: int) -> BlockDecomposition:
-    """Split the closed-chain Laplacian by the mirror symmetry.
+@lru_cache(maxsize=64)
+def block_decompose(n: int, family: str) -> np.ndarray:
+    """One 3n x 3n block of the closed-chain Laplacian, split by the mirror
+    symmetry: X + Y for family "A", X - Y for "S".
 
     On the top vertices the matrix is [[X, Y], [Y, X]], Y coupling vertex i
     with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
+    The array is cached and therefore read-only.
     """
-    g = build_moebius_octagonal(n)
-    return BlockDecomposition(l_a=_normalized(g, 1), l_s=_normalized(g, -1))
+    _check_phase(family, 0, 3 * n)
+    block = _normalized(build_moebius_octagonal(n), 1 if family == "A" else -1)
+    block.flags.writeable = False
+    return block
 
 
 def _check_phase(family: str, phase: int, m: int) -> None:

@@ -44,12 +44,16 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(off * off)))
 
 
-def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[float]:
+_TOL = 1e-12
+_MAX_SWEEPS = 100
+
+
+def eigenvalues_symmetric(m) -> list[float]:
     """All eigenvalues of a symmetric matrix with finite entries, ascending.
 
     Runs cyclic Jacobi sweeps until the off-diagonal Frobenius norm drops
-    below ``tol * order``; raises :class:`NumericFailure` if that does not
-    happen within ``max_sweeps`` sweeps.
+    below ``_TOL * order``; raises :class:`NumericFailure` if that does not
+    happen within ``_MAX_SWEEPS`` sweeps.
     """
     a = np.array(m, dtype=float)
     if a.shape == (0,):  # the empty list is the 0 x 0 matrix
@@ -63,8 +67,8 @@ def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[
         return []
     if _off_norm(a - a.T) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError("matrix must be symmetric")
-    threshold = tol * order
-    for _ in range(max_sweeps):
+    threshold = _TOL * order
+    for _ in range(_MAX_SWEEPS):
         if _off_norm(a) < threshold:
             break
         for p in range(order - 1):
@@ -88,7 +92,7 @@ def eigenvalues_symmetric(m, tol: float = 1e-12, max_sweeps: int = 100) -> list[
     else:
         if _off_norm(a) >= threshold:
             raise NumericFailure(
-                f"Jacobi iteration stalled after {max_sweeps} sweeps"
+                f"Jacobi iteration stalled after {_MAX_SWEEPS} sweeps"
             )
     return sorted(np.diagonal(a).tolist())
 
@@ -152,7 +156,6 @@ def _graph_cache(fn):
     return wrapper
 
 
-@_graph_cache
 def kemeny_oracle(g) -> Fraction:
     """Kemeny's constant, the sum of 1/lambda over the nonzero eigenvalues of
     the walk matrix I - D^(-1) A.

@@ -173,10 +173,10 @@ def _bipartite_parity(c: _Chain) -> dict:
 
 
 def _block_spectrum_union(c: _Chain) -> dict:
-    blocks = lap.block_decompose(c.n)
     union = sorted(
-        orc.eigenvalues_symmetric(blocks.l_a)
-        + orc.eigenvalues_symmetric(blocks.l_s)
+        v
+        for family in "AS"
+        for v in orc.eigenvalues_symmetric(lap.block_decompose(c.n, family))
     )
     worst = max(abs(a - b) for a, b in zip(c.spectrum, union))
     return {

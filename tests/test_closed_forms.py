@@ -43,6 +43,20 @@ def test_minor_phase_validity():
         cf.q_minor(2, 2)
 
 
+def test_minor_ladders_satisfy_their_transfer_recurrences():
+    # s_{j+6} = tr(P) s_{j+3} - det(P) s_j with P the product of one period's
+    # transfer matrices: a double root 1/12 for the A sections, and roots
+    # (4 +- sqrt(15))/12 for the S sections
+    for p in (0, 1, 2):
+        w = [cf.w_minor(p, j) for j in range(-1, 306)]  # w[j + 1] = w_j
+        for j in range(-1, 300):
+            assert w[j + 7] == w[j + 4] / 6 - w[j + 1] / 144, (p, j)
+    for p in (0, 1):
+        q = [cf.q_minor(p, j) for j in range(306)]
+        for j in range(300):
+            assert q[j + 6] == F(2, 3) * q[j + 3] - q[j] / 144, (p, j)
+
+
 def test_w_matches_exact_leading_minors():
     for n in range(1, 9):
         m = 3 * n

@@ -85,22 +85,29 @@ def test_walk_charpoly_matches_numeric_spectrum():
 
 
 def test_block_decompose_golden_n1():
-    b = lap.block_decompose(1)
+    la, ls = lap.block_decompose(1, "A"), lap.block_decompose(1, "S")
     la_expected = [[2 / 3, -S6, -S6], [-S6, 1, -0.5], [-S6, -0.5, 1]]
     ls_expected = [[4 / 3, -S6, S6], [-S6, 1, -0.5], [S6, -0.5, 1]]
-    assert np.allclose(b.l_a, la_expected, atol=1e-14)
-    assert np.allclose(b.l_s, ls_expected, atol=1e-14)
+    assert np.allclose(la, la_expected, atol=1e-14)
+    assert np.allclose(ls, ls_expected, atol=1e-14)
+
+
+def test_cached_blocks_are_read_only():
+    block = lap.block_decompose(2, "A")
+    with pytest.raises(ValueError):
+        block[0, 0] = 9.0
+    assert lap.block_decompose(2, "A")[0, 0] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_block_decompose_structure():
     for n in range(1, 9):
-        b = lap.block_decompose(n)
+        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
         m = 3 * n
         # the top-vertex pieces [[X, Y], [Y, X]] of the unfolded matrix
-        x, y = (b.l_a + b.l_s) / 2, (b.l_a - b.l_s) / 2
+        x, y = (la + ls) / 2, (la - ls) / 2
         assert x.shape == y.shape == (m, m)
-        assert np.array_equal(b.l_a, x + y)
-        assert np.array_equal(b.l_s, x - y)
+        assert np.array_equal(la, x + y)
+        assert np.array_equal(ls, x - y)
         assert np.max(np.abs(y - y.T)) == 0.0
         # rung couplings sit on the diagonal at chain positions 1 mod 3
         for j in range(m):
@@ -112,9 +119,9 @@ def test_block_decompose_structure():
 def test_float_blocks_are_the_rational_images_conjugated():
     # block = D^(-1/2) R D^(1/2), R the exact image of the same fold
     for n in range(1, 9):
-        b = lap.block_decompose(n)
         root = np.sqrt(np.array(gg.build_moebius_octagonal(n).degrees[: 3 * n]))
-        for family, block in (("A", b.l_a), ("S", b.l_s)):
+        for family in "AS":
+            block = lap.block_decompose(n, family)
             image = np.array(lap.rational_block_image(n, family), dtype=float)
             conjugated = image * root[np.newaxis, :] / root[:, np.newaxis]
             assert np.max(np.abs(block - conjugated)) <= 1e-15
@@ -122,10 +129,10 @@ def test_float_blocks_are_the_rational_images_conjugated():
 
 def test_la_zero_mode():
     for n in range(1, 9):
-        b = lap.block_decompose(n)
+        la = lap.block_decompose(n, "A")
         d = np.array([3.0 if j % 3 == 0 else 2.0 for j in range(3 * n)])
         w = np.sqrt(d)
-        assert np.max(np.abs(b.l_a @ w)) < 1e-12
+        assert np.max(np.abs(la @ w)) < 1e-12
 
 
 def test_mirror_fold_block_diagonalizes():
@@ -136,11 +143,11 @@ def test_mirror_fold_block_diagonalizes():
         eye = np.eye(m)
         u = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
         folded = u @ full @ u.T
-        b = lap.block_decompose(n)
+        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
         assert np.max(np.abs(folded[:m, m:])) <= 1e-8
         assert np.max(np.abs(folded[m:, :m])) <= 1e-8
-        assert np.max(np.abs(folded[:m, :m] - b.l_a)) <= 1e-8
-        assert np.max(np.abs(folded[m:, m:] - b.l_s)) <= 1e-8
+        assert np.max(np.abs(folded[:m, :m] - la)) <= 1e-8
+        assert np.max(np.abs(folded[m:, m:] - ls)) <= 1e-8
 
 
 def phase_tridiagonal(family, phase, m):
@@ -177,6 +184,8 @@ def test_phase_validity():
         lap.rational_phase_image("S", 2, 4)
     with pytest.raises(ValueError):
         lap.rational_phase_image("B", 0, 4)
+    with pytest.raises(ValueError, match="unknown block family"):
+        lap.block_decompose(2, "B")
 
 
 def test_rational_images_match_numeric_minors():
@@ -185,8 +194,8 @@ def test_rational_images_match_numeric_minors():
     cases = [
         (lap.rational_phase_image("A", 0, 12), phase_tridiagonal("A", 0, 12)),
         (lap.rational_phase_image("S", 1, 12), phase_tridiagonal("S", 1, 12)),
-        (lap.rational_block_image(3, "A"), lap.block_decompose(3).l_a),
-        (lap.rational_block_image(3, "S"), lap.block_decompose(3).l_s),
+        (lap.rational_block_image(3, "A"), lap.block_decompose(3, "A")),
+        (lap.rational_block_image(3, "S"), lap.block_decompose(3, "S")),
     ]
     for image, sym in cases:
         exact = xa.leading_principal_minors(image)
@@ -236,7 +245,7 @@ def test_block_images_follow_the_graph(monkeypatch):
 
 def test_ls_positive_definite():
     for n in range(1, 11):
-        eig = orc.eigenvalues_symmetric(lap.block_decompose(n).l_s)
+        eig = orc.eigenvalues_symmetric(lap.block_decompose(n, "S"))
         assert eig[0] > 1e-6
 
 
@@ -258,9 +267,9 @@ def test_decomposition_check():
     for n in range(1, 11):
         g = gg.build_moebius_octagonal(n)
         full = orc.eigenvalues_symmetric(lap.normalized_laplacian(g))
-        b = lap.block_decompose(n)
+        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
         union = sorted(
-            orc.eigenvalues_symmetric(b.l_a) + orc.eigenvalues_symmetric(b.l_s)
+            orc.eigenvalues_symmetric(la) + orc.eigenvalues_symmetric(ls)
         )
         assert len(full) == len(union)
         assert max(abs(x - y) for x, y in zip(full, union)) <= 1e-8
@@ -268,6 +277,6 @@ def test_decomposition_check():
 
 def test_block_trace_identity():
     for n in range(1, 11):
-        b = lap.block_decompose(n)
-        total = np.trace(b.l_a) + np.trace(b.l_s)
+        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
+        total = np.trace(la) + np.trace(ls)
         assert total == pytest.approx(6 * n, abs=1e-9)

@@ -37,7 +37,7 @@ def test_jacobi_known_2x2():
 
 
 def test_jacobi_la_n1():
-    eig = orc.eigenvalues_symmetric(lap.block_decompose(1).l_a)
+    eig = orc.eigenvalues_symmetric(lap.block_decompose(1, "A"))
     assert eig[0] == pytest.approx(0.0, abs=1e-10)
     assert eig[1] + eig[2] == pytest.approx(8 / 3, abs=1e-10)
     assert eig[1] * eig[2] == pytest.approx(7 / 4, abs=1e-10)
@@ -49,12 +49,13 @@ def test_jacobi_trace():
         assert sum(orc.eigenvalues_symmetric(m)) == pytest.approx(6 * n, abs=1e-8)
 
 
-def test_jacobi_nonconvergence_raises():
+def test_jacobi_nonconvergence_raises(monkeypatch):
     rng = random.Random(7)
     m = np.array([[rng.uniform(-1, 1) for _ in range(8)] for _ in range(8)])
     m = m + m.T
+    monkeypatch.setattr(orc, "_MAX_SWEEPS", 1)
     with pytest.raises(orc.NumericFailure):
-        orc.eigenvalues_symmetric(m, tol=1e-12, max_sweeps=1)
+        orc.eigenvalues_symmetric(m)
 
 
 @pytest.mark.parametrize(
@@ -186,6 +187,16 @@ def test_oracles_beyond_dense_reach():
 def test_single_vertex_kemeny_and_dk():
     assert orc.kemeny_oracle((1, ())) == 0
     assert orc.dk_oracle((1, ())) == 0
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [orc.spanning_trees_oracle, orc.kemeny_oracle, orc.dk_oracle, gg.is_connected],
+)
+def test_negative_vertex_count_is_rejected(oracle):
+    with pytest.raises(ValueError, match="negative"):
+        oracle((-1, ()))
+    oracle((0, ()))  # the empty graph stays valid
 
 
 def test_recip_sum_from_charpoly():
