@@ -22,14 +22,19 @@ Quantities provided (for the closed chain with parameter n):
   resistance (degree-Kirchhoff) index, related by dk = 14 n * kemeny;
 * ``spanning_trees`` -- the spanning tree count 3n (t_n + 2) / 2;
 * ``table_values`` -- dk, Kemeny or tree-count rows for n = start..end;
-* minor ladders ``w_minor`` / ``q_minor`` and the vertex-deleted
-  determinants ``minor_det_la`` / ``minor_det_ls`` with their coefficient
-  sums, feeding the verification layer.
+* minor ladders ``w_minor`` / ``q_minor``, both read from a table of
+  (a, b) by phase and j mod 3 at k = floor(j / 3): w_j = (a + b k) / 12**k
+  (the double root 1/12 of the sum-block sections) and
+  q_j = (a t_k + 15 b u_k) / 12**k (the roots (4 +- sqrt(15))/12 of the
+  difference-block sections), and the vertex-deleted determinants
+  ``minor_det_la`` / ``minor_det_ls`` with their coefficient sums, feeding
+  the verification layer.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,37 +55,38 @@ def _require_positive(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# pairs (a, b) with w_j = (a + b*k) / 12**k, k = (j - r)/3, keyed by
+# (phase, r = j mod 3): one period's transfer product of an A section has the
+# double root 1/12, so each residue class is linear in k over 12**k
+_W_COEFF = {
+    (0, 0): (1, 3),
+    (0, 1): (F(2, 3), 1),
+    (0, 2): (F(1, 2), F(1, 2)),
+    (1, 0): (1, 3),
+    (1, 1): (1, F(3, 2)),
+    (1, 2): (F(3, 4), F(3, 4)),
+    (2, 0): (1, 3),
+    (2, 1): (1, F(3, 2)),
+    (2, 2): (F(1, 2), F(1, 2)),
+}
+
+
 def w_minor(phase: int, j: int) -> Fraction:
     """Order-j leading principal minor of the sum-block section at `phase`.
 
-    Conventions w(-1) = 0 and w(0) = 1 make the tridiagonal recurrences and
-    the vertex-deletion splitting formulas uniform.
+    The table also gives w(-1) = 0 and w(0) = 1, the conventions that make
+    the tridiagonal recurrences and the vertex-deletion splitting formulas
+    uniform.
     """
     if phase not in (0, 1, 2):
         raise ValueError(f"no such phase {phase}")
+    j = operator.index(j)
     if j < -1:
         raise ValueError("index must be at least -1")
-    if j == -1:
-        return F(0)
-    if j == 0:
-        return F(1)
     r = j % 3
-    if phase == 0:
-        if r == 0:
-            return (1 + j) * _TWELFTH ** (j // 3)
-        if r == 1:
-            return F(1 + j, 3) * _TWELFTH ** ((j - 1) // 3)
-        k = (j - 2) // 3
-        return F(1 + k, 2) * _TWELFTH**k
-    if phase == 1:
-        if r == 0:
-            return (1 + j) * _TWELFTH ** (j // 3)
-        if r == 1:
-            return F(1 + j, 2) * _TWELFTH ** ((j - 1) // 3)
-        return F(1 + j, 4) * _TWELFTH ** ((j - 2) // 3)
-    # phase 2 has no simple product form; peel off the first row, whose
-    # neighbours restart the ladder at phases 0 and 1
-    return w_minor(0, j - 1) - F(1, 6) * w_minor(1, j - 2)
+    k = (j - r) // 3
+    a, b = _W_COEFF[(phase, r)]
+    return (a + b * k) * _TWELFTH**k
 
 
 # pairs (a, b) of c = a + b sqrt(15) with q_j = c * x_+**k + conj(c) * x_-**k,
@@ -101,6 +107,7 @@ def q_minor(phase: int, j: int) -> Fraction:
     """Order-j leading principal minor of the difference-block section."""
     if phase not in (0, 1):
         raise ValueError(f"no such phase {phase}")
+    j = operator.index(j)
     if j < 0:
         raise ValueError("index must be non-negative")
     r = j % 3

@@ -1,18 +1,20 @@
 """Exact arithmetic building blocks.
 
 Everything downstream that claims to be "exact" bottoms out here: matrix
-elimination (determinants, truncated determinant series, deleted and leading
-minors), integer powers of the fundamental unit 4 + sqrt(15) (one at a
-time, or stepped along consecutive exponents), and string/decimal
-rendering of integers and rationals.  All matrix work is
-fraction-free elimination (Bareiss) on integer rows, so intermediate values
-stay integral; rational matrices are first cleared to integers row by row,
-and the integer kernels refuse anything that is not an integer (``int`` or a
-numpy integer) with ``TypeError`` rather than truncate it.  There is one
-elimination, :func:`det_series`: a banded forward elimination over truncated
-power series that gives every determinant, every minor (as the determinant
-of a submatrix) and the lowest coefficients of det(R + z*diag(shift)) that
-characteristic polynomials are read from.
+elimination (determinants, truncated determinant series, principal minors),
+integer powers of the fundamental unit 4 + sqrt(15) (one at a time, or
+stepped along consecutive exponents), and string/decimal rendering of
+integers and rationals.  All matrix work is fraction-free elimination
+(Bareiss) on integer rows, so intermediate values stay integral; rational
+matrices are first cleared to integers row by row, and the integer kernels
+refuse anything that is not an integer (``int`` or a numpy integer) with
+``TypeError`` rather than truncate it.  There is one elimination,
+:func:`det_series`: a banded forward elimination over truncated power series
+that gives every determinant, the lowest coefficients of
+det(R + z*diag(shift)) that characteristic polynomials are read from, and,
+through :func:`principal_minors`, every principal minor of a rational
+matrix (the leading minors of a block section and its vertex-deleted
+minors alike).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -226,46 +228,28 @@ def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
     return det_series(rows)[0]
 
 
-def det_fraction(m: Sequence[Sequence]) -> Fraction:
-    """Determinant of a rational matrix, exactly.
-
-    Each row is scaled to integers by its denominator lcm, the integer
-    determinant is taken with :func:`bareiss_det_int`, and the scaling is
-    undone.
-    """
-    rows, scales = _cleared_rows(m)
-    return Fraction(bareiss_det_int(rows), math.prod(scales))
-
-
-def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
-    """The principal minors of order N - 1 of a rational N x N matrix:
-    entry x - 1 is det(m) with row and column x deleted, for x = 1..N.
+def principal_minors(
+    m: Sequence[Sequence], index_sets: Iterable[Sequence[int]]
+) -> list[Fraction]:
+    """det(m[K, K]) of a rational N x N matrix for each index set K, in order.
 
     The rows are cleared to integers once, and each minor is one
-    :func:`bareiss_det_int` of the cleared rows with row and column x
-    deleted, divided by the scales of the rows it keeps.
+    :func:`bareiss_det_int` of the cleared rows and columns in K, divided by
+    the scales of the rows it keeps; the empty set gives 1.  A non-square
+    matrix, an index outside 0..N-1 or a repeated index raises
+    ``ValueError``.
     """
     rows, scales = _cleared_rows(m)
-    total = math.prod(scales)
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square")
     minors = []
-    for x in range(len(rows)):
-        kept = [r[:x] + r[x + 1 :] for i, r in enumerate(rows) if i != x]
-        minors.append(Fraction(bareiss_det_int(kept) * scales[x], total))
+    for keep in index_sets:
+        keep = [operator.index(i) for i in keep]
+        if len(set(keep)) < len(keep) or not all(0 <= i < len(rows) for i in keep):
+            raise ValueError(f"index set {keep} repeats or leaves 0..{len(rows) - 1}")
+        det = bareiss_det_int([[rows[i][j] for j in keep] for i in keep])
+        minors.append(Fraction(det, math.prod(scales[i] for i in keep)))
     return minors
-
-
-def leading_principal_minors(m: Sequence[Sequence]) -> list[Fraction]:
-    """All leading principal minors det(m[:k, :k]) for k = 1..n.
-
-    The rows are cleared to integers once, and minor k is one
-    :func:`bareiss_det_int` of the k x k prefix of the cleared rows,
-    divided by the scales of its rows.
-    """
-    rows, scales = _cleared_rows(m)
-    return [
-        Fraction(bareiss_det_int([row[:k] for row in rows[:k]]), math.prod(scales[:k]))
-        for k in range(1, len(rows) + 1)
-    ]
 
 
 # ---------------------------------------------------------------------------

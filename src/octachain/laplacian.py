@@ -16,9 +16,11 @@ entries from the seam.
 
 Every block entry is +-1/sqrt(d_i d_j), so conjugating by diag(sqrt(d))
 gives a rational matrix with the same characteristic polynomial *and* the
-same leading principal minors.  :func:`rational_block_image` is the same
-fold with the exact weight 1/d_j, so determinant work can stay in
-:class:`fractions.Fraction`; a phase section is a principal slice of it.
+same principal minors.  :func:`rational_block_image` is the same fold with
+the exact weight 1/d_j, so determinant work can stay in
+:class:`fractions.Fraction`.  The tridiagonal section of order 3n started
+at chain offset `phase` is the index range [phase, phase + 3n) of the
+image of Q_(n+1), whose seam corners lie outside it.
 Both the float and the exact block are asked for by family, "A" (sum) or
 "S" (difference): ``block_decompose(n, family)`` and
 ``rational_block_image(n, family)``.
@@ -40,8 +42,6 @@ from .graph_gen import (
 )
 
 F = Fraction
-
-_PHASES = {"A": (0, 1, 2), "S": (0, 1)}
 
 
 def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
@@ -103,32 +103,17 @@ def block_decompose(n: int, family: str) -> np.ndarray:
     with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
     The array is cached and therefore read-only.
     """
-    _check_phase(family, 0, 3 * n)
+    _check_block(n, family)
     block = _normalized(build_moebius_octagonal(n), 1 if family == "A" else -1)
     block.flags.writeable = False
     return block
 
 
-def _check_phase(family: str, phase: int, m: int) -> None:
-    if family not in _PHASES:
+def _check_block(n: int, family: str) -> None:
+    if family not in ("A", "S"):
         raise ValueError(f"unknown block family {family!r}")
-    if phase not in _PHASES[family]:
-        raise ValueError(f"family {family} has no phase {phase}")
-    if m < 1:
-        raise ValueError("matrix order must be positive")
-
-
-def rational_phase_image(family: str, phase: int, m: int) -> list[list[Fraction]]:
-    """Rational image of the order-m tridiagonal section of a block,
-    started at chain offset `phase`.
-
-    Row i (1-based) is chain position i + phase: the section is the slice
-    [phase : phase + m] of the block image of the shortest chain Q_N whose
-    seam corner (0, 3N - 1) lies outside it.
-    """
-    _check_phase(family, phase, m)
-    block = rational_block_image((phase + m) // 3 + 1, family)
-    return [row[phase : phase + m] for row in block[phase : phase + m]]
+    if n < 1:
+        raise ValueError("n must be a positive integer")
 
 
 def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
@@ -138,7 +123,7 @@ def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
     vertices is (L[i][j] +- L[i][sigma(j)]) / d_j, + for "A" and - for "S":
     the transpose of the folded walk matrix I - D^(-1) A.
     """
-    _check_phase(family, 0, 3 * n)
+    _check_block(n, family)
     sign = 1 if family == "A" else -1
     g = build_moebius_octagonal(n)
     return _edge_walk(g, lambda i, k, d: F(1, d[k]), F(1), sign)

@@ -1,19 +1,22 @@
 """Cross-checking layer: every closed form against an independent route.
 
 ``run_verification`` replays, for each chain size up to ``n_max``, the whole
-chain of identities this package claims: minor ladders against exact leading
-minors, coefficient sums against characteristic polynomials, reciprocal
-eigenvalue sums against Vieta ratios, tree counts and resistance indices
-against brute-force oracles, the spectrum split against numeric eigenvalues,
-and the computed values against the published tables.
+chain of identities this package claims: minor ladders and vertex-deleted
+minors against exact principal minors of the block images, coefficient sums
+and the difference-block determinant against characteristic polynomials,
+reciprocal eigenvalue sums against Vieta ratios, tree counts and resistance
+indices against brute-force oracles, the spectrum split against numeric
+eigenvalues, and the computed values against the published tables.
 
 The suite is the table ``_CHECKS`` of named checks.  Each check reads a
 per-``n`` context, ``_Chain``, whose shared artifacts (the graph, the rational
-block images and the three lowest coefficients of their characteristic
-polynomials, which are all the checks read, the bipartition, the Kemeny
-oracle value, the full spectrum) are built on first use and then
-reused, and returns the fields of its :class:`CheckResult`.  Vector checks
-report their first three mismatches with both values.
+block images of Q_n and the three lowest coefficients of their
+characteristic polynomials, the block images of Q_(n+1) whose index ranges
+are the phase sections, the bipartition, the Kemeny oracle value, the full
+spectrum) are built on first use and then reused, and returns the fields of
+its :class:`CheckResult`.  Every exact minor is one
+:func:`~octachain.exact_algebra.principal_minors` call over index sets.
+Vector checks report their first three mismatches with both values.
 
 Checks against the published degree-weighted-resistance table are marked
 ``informational`` for n >= 2: those rows are known not to match the closed
@@ -75,20 +78,23 @@ class _Chain:
         return gg.build_moebius_octagonal(self.n)
 
     @cached_property
-    def image_a(self) -> list[list[Fraction]]:
-        return lap.rational_block_image(self.n, "A")
+    def image(self) -> dict[str, list[list[Fraction]]]:
+        """The block images of Q_n, by family."""
+        return {f: lap.rational_block_image(self.n, f) for f in "AS"}
 
     @cached_property
-    def image_s(self) -> list[list[Fraction]]:
-        return lap.rational_block_image(self.n, "S")
+    def section(self) -> dict[str, list[list[Fraction]]]:
+        """The block images of Q_(n+1), by family: the order-j section at
+        `phase` is their index range [phase, phase + j), for j <= 3n."""
+        return {f: lap.rational_block_image(self.n + 1, f) for f in "AS"}
 
     @cached_property
     def pa(self) -> list[Fraction]:
-        return orc.charpoly_exact(self.image_a, terms=3)
+        return orc.charpoly_exact(self.image["A"], terms=3)
 
     @cached_property
     def ps(self) -> list[Fraction]:
-        return orc.charpoly_exact(self.image_s, terms=3)
+        return orc.charpoly_exact(self.image["S"], terms=3)
 
     @cached_property
     def bipartite(self) -> tuple[bool, list[int]]:
@@ -134,12 +140,14 @@ def _ladder(label: str, m: int, expected, actual) -> dict:
 
 
 def _leading_minors(c: _Chain, closed, family: str, phase: int) -> dict:
-    minors = xa.leading_principal_minors(lap.rational_phase_image(family, phase, c.m))
+    sections = [range(phase, phase + j) for j in range(1, c.m + 1)]
+    minors = xa.principal_minors(c.section[family], sections)
     return _ladder("j", c.m, lambda j: closed(phase, j), lambda j: minors[j - 1])
 
 
-def _deleted_minors(c: _Chain, closed, image) -> dict:
-    minors = xa.deleted_minors(image)
+def _deleted_minors(c: _Chain, closed, family: str) -> dict:
+    kept = [[i for i in range(c.m) if i != x] for x in range(c.m)]
+    minors = xa.principal_minors(c.image[family], kept)
     return _ladder("x", c.m, lambda x: closed(x, c.n), lambda x: minors[x - 1])
 
 
@@ -244,15 +252,16 @@ _CHECKS: list[tuple[str, Callable[[_Chain], dict | None]]] = [
     ("q_minors_phase0", lambda c: _leading_minors(c, cf.q_minor, "S", 0)),
     ("q_minors_phase1", lambda c: _leading_minors(c, cf.q_minor, "S", 1)),
     # vertex-deleted determinants
-    ("la_deleted_minors", lambda c: _deleted_minors(c, cf.minor_det_la, c.image_a)),
-    ("ls_deleted_minors", lambda c: _deleted_minors(c, cf.minor_det_ls, c.image_s)),
+    ("la_deleted_minors", lambda c: _deleted_minors(c, cf.minor_det_la, "A")),
+    ("ls_deleted_minors", lambda c: _deleted_minors(c, cf.minor_det_ls, "S")),
     ("la_minor_sum", lambda c: _minor_sum(c, cf.coeff_d_3n_minus_1, cf.minor_det_la)),
     ("ls_minor_sum", lambda c: _minor_sum(c, cf.coeff_t_3n_minus_1, cf.minor_det_ls)),
     # characteristic polynomial coefficients
     ("la_coeff_z1", lambda c: _coeff(c.m, c.pa, 1, cf.coeff_d_3n_minus_1(c.n))),
     ("la_coeff_z2", lambda c: _coeff(c.m, c.pa, 2, cf.coeff_d_3n_minus_2(c.n))),
     ("ls_coeff_z1", lambda c: _coeff(c.m, c.ps, 1, cf.coeff_t_3n_minus_1(c.n))),
-    ("ls_determinant", lambda c: _exact(cf.det_ls(c.n), xa.det_fraction(c.image_s))),
+    # det(zI - M) at z = 0 is det(-M)
+    ("ls_determinant", lambda c: _exact(cf.det_ls(c.n), (-1) ** c.m * c.ps[0])),
     # reciprocal sums and walk indices
     (
         "recip_alpha_vieta",

@@ -104,16 +104,14 @@ def test_criterion_5_minor_ladders(capsys):
     for n in range(1, 9):
         m = 3 * n
         for phase in (0, 1, 2):
-            minors = xa.leading_principal_minors(
-                lap.rational_phase_image("A", phase, m)
-            )
+            sections = [range(phase, phase + j) for j in range(1, m + 1)]
+            minors = xa.principal_minors(lap.rational_block_image(n + 1, "A"), sections)
             want = [cf.w_minor(phase, j) for j in range(1, m + 1)]
             if minors != want:
                 details.append(f"n={n}: w ladder mismatch in phase {phase}")
         for phase in (0, 1):
-            minors = xa.leading_principal_minors(
-                lap.rational_phase_image("S", phase, m)
-            )
+            sections = [range(phase, phase + j) for j in range(1, m + 1)]
+            minors = xa.principal_minors(lap.rational_block_image(n + 1, "S"), sections)
             want = [cf.q_minor(phase, j) for j in range(1, m + 1)]
             if minors != want:
                 details.append(f"n={n}: q ladder mismatch in phase {phase}")

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +44,15 @@ def test_minor_phase_validity():
         cf.q_minor(2, 2)
 
 
+@pytest.mark.parametrize("minor", [cf.w_minor, cf.q_minor])
+def test_minor_index_must_be_an_integer(minor):
+    with pytest.raises(TypeError):
+        minor(0, 1.5)
+    with pytest.raises(TypeError):
+        minor(0, F(3))
+    assert minor(0, np.int64(40)) == minor(0, 40)
+
+
 def test_minor_ladders_satisfy_their_transfer_recurrences():
     # s_{j+6} = tr(P) s_{j+3} - det(P) s_j with P the product of one period's
     # transfer matrices: a double root 1/12 for the A sections, and roots
@@ -51,6 +61,9 @@ def test_minor_ladders_satisfy_their_transfer_recurrences():
         w = [cf.w_minor(p, j) for j in range(-1, 306)]  # w[j + 1] = w_j
         for j in range(-1, 300):
             assert w[j + 7] == w[j + 4] / 6 - w[j + 1] / 144, (p, j)
+    # the phase-2 section's first row couples it to phase 0 and phase 1
+    for j in range(1, 300):
+        assert cf.w_minor(2, j) == cf.w_minor(0, j - 1) - cf.w_minor(1, j - 2) / 6, j
     for p in (0, 1):
         q = [cf.q_minor(p, j) for j in range(306)]
         for j in range(300):
@@ -61,7 +74,8 @@ def test_w_matches_exact_leading_minors():
     for n in range(1, 9):
         m = 3 * n
         for p in (0, 1, 2):
-            mins = xa.leading_principal_minors(lap.rational_phase_image("A", p, m))
+            sections = [range(p, p + j) for j in range(1, m + 1)]
+            mins = xa.principal_minors(lap.rational_block_image(n + 1, "A"), sections)
             assert mins == [cf.w_minor(p, j) for j in range(1, m + 1)]
 
 
@@ -69,7 +83,8 @@ def test_q_matches_exact_leading_minors():
     for n in range(1, 9):
         m = 3 * n
         for p in (0, 1):
-            mins = xa.leading_principal_minors(lap.rational_phase_image("S", p, m))
+            sections = [range(p, p + j) for j in range(1, m + 1)]
+            mins = xa.principal_minors(lap.rational_block_image(n + 1, "S"), sections)
             assert mins == [cf.q_minor(p, j) for j in range(1, m + 1)]
 
 
@@ -143,12 +158,8 @@ def test_deleted_minors_match_actual_determinants():
         for family, closed in (("A", cf.minor_det_la), ("S", cf.minor_det_ls)):
             image = lap.rational_block_image(n, family)
             for x in range(1, 3 * n + 1):
-                sub = [
-                    [row[j] for j in range(3 * n) if j != x - 1]
-                    for i, row in enumerate(image)
-                    if i != x - 1
-                ]
-                assert xa.det_fraction(sub) == closed(x, n)
+                kept = [i for i in range(3 * n) if i != x - 1]
+                assert xa.principal_minors(image, [kept]) == [closed(x, n)]
 
 
 def test_minor_x_out_of_range():

@@ -101,7 +101,35 @@ rational_matrices = st.lists(
 @given(rational_matrices)
 def test_bareiss_matches_fraction_elimination(m):
     # the row-cleared integer determinant, scaled back, against Leibniz
-    assert xa.det_fraction(m) == _leibniz_det(m)
+    assert xa.principal_minors(m, [range(4)]) == [_leibniz_det(m)]
+
+
+@settings(max_examples=200)
+@given(rational_matrices, st.lists(st.sets(st.integers(0, 3)), max_size=5))
+def test_principal_minors_match_leibniz(m, index_sets):
+    want = [_leibniz_det([[m[i][j] for j in k] for i in k]) for k in index_sets]
+    assert xa.principal_minors(m, index_sets) == want
+
+
+def test_principal_minor_of_the_empty_set_is_one():
+    assert xa.principal_minors([[F(1, 2), 1], [3, 4]], [[]]) == [1]
+    assert xa.principal_minors([], [()]) == [1]
+
+
+@pytest.mark.parametrize(
+    "m, index_sets, error",
+    [
+        ([[1.5, 0], [0, 1]], [[0]], TypeError),
+        ([[1, 0], [0, 1]], [[2]], ValueError),
+        ([[1, 0], [0, 1]], [[-1]], ValueError),
+        ([[1, 0], [0, 1]], [[1, 1]], ValueError),
+        ([[1, 0]], [[0]], ValueError),
+    ],
+    ids=["float-entry", "past-the-end", "negative", "repeated", "not-square"],
+)
+def test_principal_minors_refuse_bad_input(m, index_sets, error):
+    with pytest.raises(error):
+        xa.principal_minors(m, index_sets)
 
 
 def test_det_series_pencil():
@@ -120,20 +148,22 @@ def test_det_series_pencil():
 def test_deleted_minors():
     m = [[F(1, 2), 1, 0], [F(1, 3), 2, 1], [0, F(1, 4), 3]]
     keep = [[1, 2], [0, 2], [0, 1]]
-    want = [xa.det_fraction([[m[i][j] for j in k] for i in k]) for k in keep]
-    assert xa.deleted_minors(m) == want == [F(23, 4), F(3, 2), F(2, 3)]
+    sub = [[[m[i][j] for j in k] for i in k] for k in keep]
+    want = [xa.principal_minors(s, [range(2)])[0] for s in sub]
+    assert xa.principal_minors(m, keep) == want == [F(23, 4), F(3, 2), F(2, 3)]
 
 
-def test_det_fraction():
+def test_principal_minor_of_the_full_set_is_the_determinant():
     m = [[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]
-    assert xa.det_fraction(m) == F(1, 10) - F(1, 12)
+    assert xa.principal_minors(m, [range(2)]) == [F(1, 10) - F(1, 12)]
 
 
 def test_leading_principal_minors():
+    leading = [range(1), range(2)]
     m = [[F(1, 2), 0], [0, F(3, 4)]]
-    assert xa.leading_principal_minors(m) == [F(1, 2), F(3, 8)]
+    assert xa.principal_minors(m, leading) == [F(1, 2), F(3, 8)]
     # a zero leading minor
-    assert xa.leading_principal_minors([[0, 1], [1, 0]]) == [0, -1]
+    assert xa.principal_minors([[0, 1], [1, 0]], leading) == [0, -1]
 
 
 @pytest.mark.parametrize(
@@ -163,7 +193,7 @@ def test_leading_minors_match_prefix_determinants(m, zero_corner):
     if zero_corner:
         m[0][0] = F(0)  # a zero leading minor
     want = [_leibniz_det([row[:k] for row in m[:k]]) for k in range(1, 5)]
-    assert xa.leading_principal_minors(m) == want
+    assert xa.principal_minors(m, [range(k) for k in range(1, 5)]) == want
 
 
 def test_fraction_serialization():

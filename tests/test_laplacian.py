@@ -170,20 +170,31 @@ def test_phase_tridiagonal_golden():
     assert phase_tridiagonal("A", 1, 2).tolist() == [[1, -0.5], [-0.5, 1]]
 
 
+def section_minors(family, phase, m):
+    """Leading minors of the order-m block section at chain offset `phase`:
+    index ranges [phase, phase + j) of the image of the shortest chain whose
+    seam corners lie outside them."""
+    image = lap.rational_block_image((phase + m) // 3 + 1, family)
+    sections = [range(phase, phase + j) for j in range(1, m + 1)]
+    return xa.principal_minors(image, sections)
+
+
 def test_phase_image_minors_golden():
-    mins_a0 = xa.leading_principal_minors(lap.rational_phase_image("A", 0, 6))
+    mins_a0 = section_minors("A", 0, 6)
     assert mins_a0 == [F(2, 3), F(1, 2), F(1, 3), F(5, 36), F(1, 12), F(7, 144)]
-    mins_s0 = xa.leading_principal_minors(lap.rational_phase_image("S", 0, 5))
+    mins_s0 = section_minors("S", 0, 5)
     assert mins_s0 == [F(4, 3), F(7, 6), F(5, 6), F(11, 12), F(7, 9)]
-    assert xa.det_fraction(lap.rational_phase_image("A", 1, 2)) == F(3, 4)
-    assert xa.det_fraction(lap.rational_phase_image("S", 0, 3)) == F(5, 6)
+    assert section_minors("A", 1, 2)[-1] == F(3, 4)
+    assert section_minors("S", 0, 3)[-1] == F(5, 6)
 
 
 def test_phase_validity():
+    with pytest.raises(ValueError):  # a section past the end of the image
+        xa.principal_minors(lap.rational_block_image(1, "S"), [range(2, 4)])
     with pytest.raises(ValueError):
-        lap.rational_phase_image("S", 2, 4)
-    with pytest.raises(ValueError):
-        lap.rational_phase_image("B", 0, 4)
+        lap.rational_block_image(0, "S")
+    with pytest.raises(ValueError, match="unknown block family"):
+        lap.rational_block_image(2, "B")
     with pytest.raises(ValueError, match="unknown block family"):
         lap.block_decompose(2, "B")
 
@@ -191,14 +202,20 @@ def test_phase_validity():
 def test_rational_images_match_numeric_minors():
     # diagonal similarity keeps every leading principal minor, so the
     # exact minors must line up with numeric determinants of the floats
+    leading = [range(k) for k in range(1, 10)]
     cases = [
-        (lap.rational_phase_image("A", 0, 12), phase_tridiagonal("A", 0, 12)),
-        (lap.rational_phase_image("S", 1, 12), phase_tridiagonal("S", 1, 12)),
-        (lap.rational_block_image(3, "A"), lap.block_decompose(3, "A")),
-        (lap.rational_block_image(3, "S"), lap.block_decompose(3, "S")),
+        (section_minors("A", 0, 12), phase_tridiagonal("A", 0, 12)),
+        (section_minors("S", 1, 12), phase_tridiagonal("S", 1, 12)),
+        (
+            xa.principal_minors(lap.rational_block_image(3, "A"), leading),
+            lap.block_decompose(3, "A"),
+        ),
+        (
+            xa.principal_minors(lap.rational_block_image(3, "S"), leading),
+            lap.block_decompose(3, "S"),
+        ),
     ]
-    for image, sym in cases:
-        exact = xa.leading_principal_minors(image)
+    for exact, sym in cases:
         for k in range(1, len(exact) + 1):
             num = np.linalg.det(np.asarray(sym)[:k, :k])
             assert float(exact[k - 1]) == pytest.approx(num, abs=1e-9)

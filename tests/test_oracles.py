@@ -311,8 +311,9 @@ def test_spanning_trees_oracle():
 
 def test_leading_principal_minors_exact():
     eye = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert xa.leading_principal_minors(eye) == [1, 1, 1, 1]
-    mins = xa.leading_principal_minors(lap.rational_phase_image("A", 0, 6))
+    assert xa.principal_minors(eye, [range(k) for k in range(1, 5)]) == [1, 1, 1, 1]
+    section = lap.rational_block_image(3, "A")  # phase 0, order 6
+    mins = xa.principal_minors(section, [range(k) for k in range(1, 7)])
     assert mins == [F(2, 3), F(1, 2), F(1, 3), F(5, 36), F(1, 12), F(7, 144)]
 
 
