@@ -161,12 +161,13 @@ def _xi(n: int, t: int, u: int) -> Fraction:
     return F(37 * n * u, 2 * (t + 2))
 
 
+# sum_recip_alpha + xi over one denominator 84 (t + 2), 1554 = 37 * 42
 def _kemeny(n: int, t: int, u: int) -> Fraction:
-    return sum_recip_alpha(n) + _xi(n, t, u)
+    return F((147 * n * n - 19) * (t + 2) + 1554 * n * u, 84 * (t + 2))
 
 
 def _dk_index(n: int, t: int, u: int) -> Fraction:
-    return 14 * n * _kemeny(n, t, u)
+    return F(n * ((147 * n * n - 19) * (t + 2) + 1554 * n * u), 6 * (t + 2))
 
 
 def _spanning_trees(n: int, t: int, u: int) -> int:

@@ -2,8 +2,8 @@
 
 Every matrix here comes from one walk over the edge list: a diagonal (the
 degrees, or 1 for a normalized matrix) minus a coupling weight(i, k, d) at
-each edge end (i, k).  The combinatorial, normalized and walk Laplacians
-differ only in that diagonal and weight.
+each edge end (i, k).  The combinatorial and normalized Laplacians differ
+only in that diagonal and weight; numpy is loaded by the float matrices only.
 
 The normalized Laplacian of the twisted closed chain commutes with the
 top/bottom mirror swap of :func:`graph_gen.mirror_automorphism`, so folding
@@ -18,12 +18,11 @@ Every block entry is +-1/sqrt(d_i d_j), so conjugating by diag(sqrt(d))
 gives a rational matrix with the same characteristic polynomial *and* the
 same principal minors.  :func:`rational_block_image` is the same fold with
 the exact weight 1/d_j, so determinant work can stay in
-:class:`fractions.Fraction`.  The tridiagonal section of order 3n started
-at chain offset `phase` is the index range [phase, phase + 3n) of the
-image of Q_(n+1), whose seam corners lie outside it.
-Both the float and the exact block are asked for by family, "A" (sum) or
-"S" (difference): ``block_decompose(n, family)`` and
-``rational_block_image(n, family)``.
+:class:`fractions.Fraction`.  The tridiagonal section of order 3n started at
+chain offset `phase` is the index range [phase, phase + 3n) of the image of
+Q_(n+1), whose seam corners lie outside it.  Both the float and the exact
+block are asked for by family, "A" (sum) or "S" (difference):
+``block_decompose(n, family)`` and ``rational_block_image(n, family)``.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph_gen import (
     _graph_data,
@@ -40,6 +38,9 @@ from .graph_gen import (
     mirror_automorphism,
     vertex_degrees,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 F = Fraction
 
@@ -74,6 +75,7 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
 
 
 def _normalized(g, sign=None) -> np.ndarray:
+    import numpy as np
     # the integer product d_i * d_k first, so the matrix is exactly symmetric
     rows = _edge_walk(g, lambda i, k, d: 1.0 / math.sqrt(d[i] * d[k]), 1.0, sign)
     return np.array(rows, dtype=float).reshape(len(rows), len(rows))
@@ -89,11 +91,6 @@ def normalized_laplacian(g) -> np.ndarray:
     return _normalized(g)
 
 
-def rational_walk_laplacian(g) -> list[list[Fraction]]:
-    """Exact matrix I - D^(-1) A; similar to the normalized Laplacian."""
-    return _edge_walk(g, lambda i, k, d: F(1, d[i]), F(1))
-
-
 @lru_cache(maxsize=64)
 def block_decompose(n: int, family: str) -> np.ndarray:
     """One 3n x 3n block of the closed-chain Laplacian, split by the mirror
@@ -103,17 +100,16 @@ def block_decompose(n: int, family: str) -> np.ndarray:
     with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
     The array is cached and therefore read-only.
     """
-    _check_block(n, family)
-    block = _normalized(build_moebius_octagonal(n), 1 if family == "A" else -1)
+    sign = _family_sign(family)
+    block = _normalized(build_moebius_octagonal(n), sign)
     block.flags.writeable = False
     return block
 
 
-def _check_block(n: int, family: str) -> None:
+def _family_sign(family: str) -> int:
     if family not in ("A", "S"):
         raise ValueError(f"unknown block family {family!r}")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    return 1 if family == "A" else -1
 
 
 def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
@@ -123,7 +119,6 @@ def rational_block_image(n: int, family: str) -> list[list[Fraction]]:
     vertices is (L[i][j] +- L[i][sigma(j)]) / d_j, + for "A" and - for "S":
     the transpose of the folded walk matrix I - D^(-1) A.
     """
-    _check_block(n, family)
-    sign = 1 if family == "A" else -1
+    sign = _family_sign(family)
     g = build_moebius_octagonal(n)
     return _edge_walk(g, lambda i, k, d: F(1, d[k]), F(1), sign)

@@ -1,14 +1,14 @@
 """Independent brute-force checks for every closed-form quantity.
 
 Nothing in this module knows the chain formulas: eigenvalues come from a
-hand-rolled cyclic Jacobi iteration, characteristic polynomials (whole, or
-only their lowest coefficients), Kemeny's constant and the
-degree-weighted resistance sum from banded elimination over truncated power
-series, and tree counts from an exact cofactor.  Any
-graph can be passed in, either a :class:`~octachain.graph_gen.ChainGraph`
-or a plain ``(vertex_count, edges)`` pair, which keeps the oracles honest:
-they are exercised on tiny hand-checkable graphs in the tests before being
-pointed at the chains.
+hand-rolled cyclic Jacobi iteration (the one float routine, and the only one
+that loads numpy), characteristic polynomials (whole, or only their lowest
+coefficients), Kemeny's constant and the degree-weighted resistance sum from
+banded elimination over truncated power series, and tree counts from an
+exact cofactor.  Any graph can be passed in, either a
+:class:`~octachain.graph_gen.ChainGraph` or a plain ``(vertex_count,
+edges)`` pair, which keeps the oracles honest: they are exercised on tiny
+hand-checkable graphs in the tests before being pointed at the chains.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, wraps
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact_algebra import _cleared_rows, bareiss_det_int, det_series
 from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian
+
+if TYPE_CHECKING:
+    import numpy as np
 
 F = Fraction
 
@@ -40,6 +42,7 @@ class DisconnectedGraph(ValueError):
 
 
 def _off_norm(a: np.ndarray) -> float:
+    import numpy as np
     off = a - np.diag(np.diagonal(a))
     return float(np.sqrt(np.sum(off * off)))
 
@@ -55,6 +58,7 @@ def eigenvalues_symmetric(m) -> list[float]:
     below ``_TOL * order``; raises :class:`NumericFailure` if that does not
     happen within ``_MAX_SWEEPS`` sweeps.
     """
+    import numpy as np
     a = np.array(m, dtype=float)
     if a.shape == (0,):  # the empty list is the 0 x 0 matrix
         a = a.reshape(0, 0)

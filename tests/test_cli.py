@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -289,3 +291,40 @@ def test_subprocess_usage_error():
     )
     assert proc.returncode == 2
     assert "--n" in proc.stderr
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_interpreter(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+
+
+def test_exact_commands_never_load_numpy():
+    proc = _fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "import octachain\n"
+        "from octachain import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['table', 'dk', '--to', '3']) == 0\n"
+        "    assert cli.main(['graph', '--n', '2']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_spectrum_loads_numpy_on_its_float_call(capsys):
+    proc = _fresh_interpreter(
+        "import sys\n"
+        "from octachain import cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported at startup'\n"
+        "code = cli.main(['spectrum', '--n', '2'])\n"
+        "assert 'numpy' in sys.modules, 'numpy was never imported'\n"
+        "sys.exit(code)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(["spectrum", "--n", "2"]) == 0
+    assert proc.stdout == capsys.readouterr().out

@@ -200,6 +200,18 @@ def test_table_values_match_the_per_n_functions(which, start, end):
     assert cf.table_values(which, start, end) == want
 
 
+@pytest.mark.parametrize("start, end", [(1, 300), (1500, 1500), (20000, 20000)])
+def test_dk_and_kemeny_rows_equal_the_defining_sums(start, end):
+    # each row is one Fraction over 84 (t + 2); kemeny is defined as
+    # sum_recip_alpha + xi and dk as 14 n * kemeny
+    kemeny = cf.table_values("kemeny", start, end)
+    dk = cf.table_values("dk", start, end)
+    for n, k, d in zip(range(start, end + 1), kemeny, dk):
+        want = cf.sum_recip_alpha(n) + cf.xi(n)
+        assert k == cf.kemeny(n) == want
+        assert d == cf.dk_index(n) == 14 * n * want
+
+
 def test_table_values_rejects_bad_requests():
     with pytest.raises(ValueError):
         cf.table_values("xi", 1, 3)
