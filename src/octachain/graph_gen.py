@@ -6,13 +6,12 @@ horizontal sides are shared:
 * the linear chain ``L_n`` on ``6n + 2`` vertices: two paths of ``3n + 1``
   vertices ("top" ``u_1..u_{3n+1}`` and "bottom" ``v_1..v_{3n+1}``) joined by
   vertical rungs ``u_j -- v_j`` at every position ``j = 1 (mod 3)``;
-* the twisted closed chain ``Q_n`` on ``6n`` vertices: two paths of ``3n``
-  vertices with rungs at ``j = 1 (mod 3)`` for ``j <= 3n - 2`` plus the two
-  crossing seam edges ``u_{3n} -- v_1`` and ``v_{3n} -- u_1``.
-
-Identifying the two ends of ``L_n`` with a half twist (``u_1 = v_{3n+1}``,
-``v_1 = u_{3n+1}``) reproduces ``Q_n`` exactly; :func:`fold_linear_ends`
-performs that identification.
+* the twisted closed chain ``Q_n`` on ``6n`` vertices: ``L_n`` with its two
+  ends glued by a half twist (``u_1 = v_{3n+1}``, ``v_1 = u_{3n+1}``), which
+  :func:`fold_linear_ends` performs.  That leaves two paths of ``3n``
+  vertices with rungs at ``j = 1 (mod 3)`` for ``j <= 3n - 2`` (the two end
+  rungs of ``L_n`` become one) plus the two crossing seam edges
+  ``u_{3n} -- v_1`` and ``v_{3n} -- u_1``.
 
 Vertex numbering: top vertices come first (``u_j -> j - 1``), bottom vertices
 after them. Edges are stored as lexicographically sorted ``(a, b)`` pairs
@@ -67,28 +66,6 @@ def _chain_graph(kind: str, n: int, vertex_count: int, edges) -> ChainGraph:
     )
 
 
-@lru_cache(maxsize=32)
-def build_moebius_octagonal(n: int) -> ChainGraph:
-    """Twisted closed chain of n octagons on 6n vertices and 7n edges."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    m = 3 * n
-    u = list(range(m))
-    v = list(range(m, 2 * m))
-    edges = []
-    for j in range(m - 1):
-        edges.append((u[j], u[j + 1]))
-        edges.append((v[j], v[j + 1]))
-    for j in range(0, m - 2, 3):
-        edges.append((u[j], v[j]))
-    edges.append(tuple(sorted((u[m - 1], v[0]))))
-    edges.append(tuple(sorted((v[m - 1], u[0]))))
-    g = _chain_graph(MOEBIUS, n, 2 * m, edges)
-    if len(g.edges) != 7 * n:
-        raise ConstructionError(f"expected {7 * n} edges, built {len(g.edges)}")
-    return g
-
-
 def build_linear_octagonal(n: int) -> ChainGraph:
     """Open chain of n octagons on 6n + 2 vertices and 7n + 1 edges."""
     if n < 1:
@@ -114,22 +91,23 @@ def fold_linear_ends(g: ChainGraph) -> ChainGraph:
     The identification is ``u_1 = v_{3n+1}`` and ``v_1 = u_{3n+1}``; the
     result is the twisted closed chain on 6n vertices.
     """
-    if g.kind != LINEAR:
-        raise ValueError("only open chains can be folded")
-    n = g.n
-    m = 3 * n
+    if g.kind != LINEAR or g.vertex_count != 6 * g.n + 2:
+        raise ValueError("only open chains on 6n + 2 vertices can be folded")
+    m = 3 * g.n
+    # u_1..u_{3n+1} keep their numbers, u_{3n+1} landing on v_1; v_1..v_{3n}
+    # move down by one, and v_{3n+1} lands on u_1
+    image = (*range(m + 1), *range(m, 2 * m), 0)
+    folded = {tuple(sorted((image[a], image[b]))) for a, b in g.edges}
+    return _chain_graph(MOEBIUS, g.n, 2 * m, folded)
 
-    def image(vertex: int) -> int:
-        if vertex < m:  # u_1..u_{3n}
-            return vertex
-        if vertex == m:  # u_{3n+1} lands on v_1
-            return m
-        if vertex < 2 * m + 1:  # v_1..v_{3n}
-            return vertex - 1
-        return 0  # v_{3n+1} lands on u_1
 
-    folded = {tuple(sorted((image(a), image(b)))) for a, b in g.edges}
-    return _chain_graph(MOEBIUS, n, 2 * m, folded)
+@lru_cache(maxsize=32)
+def build_moebius_octagonal(n: int) -> ChainGraph:
+    """Twisted closed chain of n octagons on 6n vertices and 7n edges."""
+    g = fold_linear_ends(build_linear_octagonal(n))
+    if len(g.edges) != 7 * n:
+        raise ConstructionError(f"expected {7 * n} edges, built {len(g.edges)}")
+    return g
 
 
 def mirror_automorphism(g: ChainGraph) -> tuple[int, ...]:
@@ -139,8 +117,8 @@ def mirror_automorphism(g: ChainGraph) -> tuple[int, ...]:
     It is an involution without fixed points; the two seam edges are
     exchanged with each other. Every mirror fold in :mod:`laplacian` uses it.
     """
-    if g.kind != MOEBIUS:
-        raise ValueError("the mirror swap is only defined for the closed chain")
+    if g.kind != MOEBIUS or g.vertex_count != 6 * g.n:
+        raise ValueError("the mirror swap needs a closed chain on 6n vertices")
     m = 3 * g.n
     perm = tuple(i + m if i < m else i - m for i in range(2 * m))
     mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}

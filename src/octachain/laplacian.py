@@ -3,7 +3,8 @@
 Every matrix here comes from one walk over the edge list: a diagonal (the
 degrees, or 1 for a normalized matrix) minus a coupling weight(i, k, d) at
 each edge end (i, k).  The combinatorial and normalized Laplacians differ
-only in that diagonal and weight; numpy is loaded by the float matrices only.
+only in that diagonal and weight.  Every matrix, float or exact, is a plain
+list of rows; numpy is loaded only inside the eigensolver that reads them.
 
 The normalized Laplacian of the twisted closed chain commutes with the
 top/bottom mirror swap of :func:`graph_gen.mirror_automorphism`, so folding
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .graph_gen import (
     _graph_data,
@@ -38,9 +37,6 @@ from .graph_gen import (
     mirror_automorphism,
     vertex_degrees,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 F = Fraction
 
@@ -74,11 +70,9 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
     return out
 
 
-def _normalized(g, sign=None) -> np.ndarray:
-    import numpy as np
+def _normalized(g, sign=None) -> list[list[float]]:
     # the integer product d_i * d_k first, so the matrix is exactly symmetric
-    rows = _edge_walk(g, lambda i, k, d: 1.0 / math.sqrt(d[i] * d[k]), 1.0, sign)
-    return np.array(rows, dtype=float).reshape(len(rows), len(rows))
+    return _edge_walk(g, lambda i, k, d: 1.0 / math.sqrt(d[i] * d[k]), 1.0, sign)
 
 
 def combinatorial_laplacian(g) -> list[list[int]]:
@@ -86,24 +80,20 @@ def combinatorial_laplacian(g) -> list[list[int]]:
     return _edge_walk(g, lambda i, k, d: 1)
 
 
-def normalized_laplacian(g) -> np.ndarray:
+def normalized_laplacian(g) -> list[list[float]]:
     """Float matrix I - D^(-1/2) A D^(-1/2), entries -1/sqrt(d_i * d_j)."""
     return _normalized(g)
 
 
-@lru_cache(maxsize=64)
-def block_decompose(n: int, family: str) -> np.ndarray:
+def block_decompose(n: int, family: str) -> list[list[float]]:
     """One 3n x 3n block of the closed-chain Laplacian, split by the mirror
     symmetry: X + Y for family "A", X - Y for "S".
 
     On the top vertices the matrix is [[X, Y], [Y, X]], Y coupling vertex i
     with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
-    The array is cached and therefore read-only.
     """
     sign = _family_sign(family)
-    block = _normalized(build_moebius_octagonal(n), sign)
-    block.flags.writeable = False
-    return block
+    return _normalized(build_moebius_octagonal(n), sign)
 
 
 def _family_sign(family: str) -> int:

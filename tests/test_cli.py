@@ -311,6 +311,10 @@ def test_exact_commands_never_load_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['table', 'dk', '--to', '3']) == 0\n"
         "    assert cli.main(['graph', '--n', '2']) == 0\n"
+        "from octachain import laplacian as lap\n"
+        "lap.normalized_laplacian(octachain.build_moebius_octagonal(3))\n"
+        "for family in 'AS':\n"
+        "    lap.block_decompose(3, family)\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     assert proc.returncode == 0, proc.stderr

@@ -76,15 +76,44 @@ def test_linear_one_is_octagon():
     assert gg.is_connected(g)
 
 
+def reference_moebius(n):
+    """Q_n built directly: two paths of 3n vertices, rungs at chain positions
+    1 mod 3 short of the end, and the two crossing seam edges."""
+    m = 3 * n
+    edges = set()
+    for j in range(m - 1):
+        edges |= {(j, j + 1), (m + j, m + j + 1)}
+    edges |= {(j, m + j) for j in range(0, m - 2, 3)}
+    edges |= {(m - 1, m), (0, 2 * m - 1)}
+    return gg.ChainGraph(gg.MOEBIUS, n, 2 * m, tuple(sorted(edges)))
+
+
 def test_fold_reproduces_moebius():
-    for n in range(1, 6):
-        folded = gg.fold_linear_ends(gg.build_linear_octagonal(n))
-        assert folded == gg.build_moebius_octagonal(n)
+    for n in range(1, 51):
+        assert gg.build_moebius_octagonal(n) == reference_moebius(n)
 
 
 def test_fold_rejects_moebius():
     with pytest.raises(ValueError):
         gg.fold_linear_ends(gg.build_moebius_octagonal(2))
+
+
+@pytest.mark.parametrize(
+    "operation, kind, vertex_count, edges",
+    [
+        (gg.fold_linear_ends, gg.LINEAR, 4, ((0, 1), (1, 2), (2, 3))),
+        (gg.fold_linear_ends, gg.LINEAR, 10, gg.build_linear_octagonal(1).edges),
+        (gg.mirror_automorphism, gg.MOEBIUS, 8, Q1_EDGES + ((6, 7),)),
+        (gg.mirror_automorphism, gg.MOEBIUS, 7, Q1_EDGES),
+        (gg.mirror_automorphism, gg.MOEBIUS, 12, Q1_EDGES),
+    ],
+)
+def test_index_maps_reject_a_wrong_vertex_count(operation, kind, vertex_count, edges):
+    # the fold and the mirror map vertices by their chain positions, which
+    # only exist on 6n + 2 (open) or 6n (closed) vertices
+    g = gg.ChainGraph(kind, 1, vertex_count, edges)
+    with pytest.raises(ValueError, match="6n"):
+        operation(g)
 
 
 def test_mirror_small():

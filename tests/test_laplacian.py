@@ -33,12 +33,12 @@ def test_laplacian_row_sums_and_rank():
 
 def test_normalized_laplacian_entries():
     g = gg.build_moebius_octagonal(1)
-    M = lap.normalized_laplacian(g)
+    M = np.array(lap.normalized_laplacian(g))
     assert M[0, 1] == pytest.approx(-S6, abs=1e-15)
     assert M[1, 2] == pytest.approx(-0.5, abs=1e-15)
     assert M[1, 4] == 0.0
     for n in range(1, 11):
-        M = lap.normalized_laplacian(gg.build_moebius_octagonal(n))
+        M = np.array(lap.normalized_laplacian(gg.build_moebius_octagonal(n)))
         assert np.trace(M) == pytest.approx(6 * n, abs=1e-12)
         assert np.max(np.abs(M - M.T)) == 0.0
 
@@ -57,7 +57,7 @@ def test_normalized_laplacian_rejects_isolated_vertex():
 
 
 def test_empty_graph_gives_the_empty_matrix():
-    assert lap.normalized_laplacian((0, ())).shape == (0, 0)
+    assert lap.normalized_laplacian((0, ())) == []
     assert lap.combinatorial_laplacian((0, ())) == []
 
 
@@ -91,16 +91,16 @@ def test_block_decompose_golden_n1():
     assert np.allclose(ls, ls_expected, atol=1e-14)
 
 
-def test_cached_blocks_are_read_only():
+def test_a_returned_block_is_the_callers_own():
     block = lap.block_decompose(2, "A")
-    with pytest.raises(ValueError):
-        block[0, 0] = 9.0
-    assert lap.block_decompose(2, "A")[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+    block[0][0] = 9.0
+    assert lap.block_decompose(2, "A")[0][0] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_block_decompose_structure():
     for n in range(1, 9):
-        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
+        la = np.array(lap.block_decompose(n, "A"))
+        ls = np.array(lap.block_decompose(n, "S"))
         m = 3 * n
         # the top-vertex pieces [[X, Y], [Y, X]] of the unfolded matrix
         x, y = (la + ls) / 2, (la - ls) / 2
@@ -120,7 +120,7 @@ def test_float_blocks_are_the_rational_images_conjugated():
     for n in range(1, 9):
         root = np.sqrt(np.array(gg.build_moebius_octagonal(n).degrees[: 3 * n]))
         for family in "AS":
-            block = lap.block_decompose(n, family)
+            block = np.array(lap.block_decompose(n, family))
             image = np.array(lap.rational_block_image(n, family), dtype=float)
             conjugated = image * root[np.newaxis, :] / root[:, np.newaxis]
             assert np.max(np.abs(block - conjugated)) <= 1e-15
@@ -128,7 +128,7 @@ def test_float_blocks_are_the_rational_images_conjugated():
 
 def test_la_zero_mode():
     for n in range(1, 9):
-        la = lap.block_decompose(n, "A")
+        la = np.array(lap.block_decompose(n, "A"))
         d = np.array([3.0 if j % 3 == 0 else 2.0 for j in range(3 * n)])
         w = np.sqrt(d)
         assert np.max(np.abs(la @ w)) < 1e-12
@@ -138,11 +138,12 @@ def test_mirror_fold_block_diagonalizes():
     # conjugating by U = [[I, I], [I, -I]] / sqrt(2) leaves diag(l_a, l_s)
     for n in range(1, 7):
         m = 3 * n
-        full = lap.normalized_laplacian(gg.build_moebius_octagonal(n))
+        full = np.array(lap.normalized_laplacian(gg.build_moebius_octagonal(n)))
         eye = np.eye(m)
         u = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
         folded = u @ full @ u.T
-        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
+        la = np.array(lap.block_decompose(n, "A"))
+        ls = np.array(lap.block_decompose(n, "S"))
         assert np.max(np.abs(folded[:m, m:])) <= 1e-8
         assert np.max(np.abs(folded[m:, :m])) <= 1e-8
         assert np.max(np.abs(folded[:m, :m] - la)) <= 1e-8
@@ -247,8 +248,6 @@ def test_block_images_follow_the_graph(monkeypatch):
 
     intact = lap.rational_block_image(2, "S")
     monkeypatch.setattr(lap, "build_moebius_octagonal", without_rung)
-    # uncached, so the blocks of the cut graph are not kept for later tests
-    monkeypatch.setattr(lap, "block_decompose", lap.block_decompose.__wrapped__)
     cut = lap.rational_block_image(2, "S")
     assert intact[3][3] == F(4, 3) and cut[3][3] == 1
     assert [row[:3] + row[4:] for row in cut[:3] + cut[4:]] == [
