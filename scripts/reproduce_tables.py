@@ -13,7 +13,8 @@ Three artifacts are written to --out-dir:
 A short recap is printed to stdout.  Exit status is 0 only if every
 non-informational verification check passes and every tree count matches;
 the published dk figures are known to disagree for n >= 2 and do not
-affect the exit status.
+affect the exit status.  A usage error, such as an --out-dir that cannot
+be created, exits with status 2 before any work.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.n_max < 1:
         parser.error("--n-max must be a positive integer")
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out-dir: cannot create {args.out_dir}: {exc.strerror}")
 
     dk_path = args.out_dir / "dk_table.csv"
     dk_mismatches = write_dk_table(dk_path)

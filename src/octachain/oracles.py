@@ -1,14 +1,15 @@
 """Independent brute-force checks for every closed-form quantity.
 
-Nothing in this module knows the chain formulas: eigenvalues come from a
-hand-rolled cyclic Jacobi iteration (the one float routine, and the only one
-that loads numpy), characteristic polynomials (whole, or only their lowest
-coefficients), Kemeny's constant and the degree-weighted resistance sum from
-banded elimination over truncated power series, and tree counts from an
-exact cofactor.  Any graph can be passed in, either a
-:class:`~octachain.graph_gen.ChainGraph` or a plain ``(vertex_count,
-edges)`` pair, which keeps the oracles honest: they are exercised on tiny
-hand-checkable graphs in the tests before being pointed at the chains.
+Nothing in this module knows the chain formulas: eigenvalues come from
+LAPACK's symmetric solver through ``numpy.linalg.eigvalsh`` (the one float
+routine, and the only one that loads numpy), characteristic polynomials
+(whole, or only their lowest coefficients), Kemeny's constant and the
+degree-weighted resistance sum from banded elimination over truncated power
+series, and tree counts from an exact cofactor.  Any graph can be passed
+in, either a :class:`~octachain.graph_gen.ChainGraph` or a plain
+``(vertex_count, edges)`` pair, which keeps the oracles honest: they are
+exercised on tiny hand-checkable graphs in the tests before being pointed
+at the chains.
 """
 
 from __future__ import annotations
@@ -16,20 +17,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, wraps
-from typing import TYPE_CHECKING
 
 from .exact_algebra import _cleared_rows, bareiss_det_int, det_series
 from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian
 
-if TYPE_CHECKING:
-    import numpy as np
-
 F = Fraction
-
-
-class NumericFailure(RuntimeError):
-    """An iterative numeric routine did not reach its tolerance."""
 
 
 class DisconnectedGraph(ValueError):
@@ -37,26 +30,17 @@ class DisconnectedGraph(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: cyclic Jacobi rotations
+# Eigenvalues: LAPACK's symmetric solver
 # ---------------------------------------------------------------------------
-
-
-def _off_norm(a: np.ndarray) -> float:
-    import numpy as np
-    off = a - np.diag(np.diagonal(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
-_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 def eigenvalues_symmetric(m) -> list[float]:
     """All eigenvalues of a symmetric matrix with finite entries, ascending.
 
-    Runs cyclic Jacobi sweeps until the off-diagonal Frobenius norm drops
-    below ``_TOL * order``; raises :class:`NumericFailure` if that does not
-    happen within ``_MAX_SWEEPS`` sweeps.
+    ``numpy.linalg.eigvalsh`` reads only one triangle of its input, so the
+    symmetry check here is what keeps it honest: a matrix whose two halves
+    differ by more than ``1e-9 * max(1, max|a|)`` in Frobenius norm is
+    refused, not silently symmetrised.
     """
     import numpy as np
     a = np.array(m, dtype=float)
@@ -66,39 +50,11 @@ def eigenvalues_symmetric(m) -> list[float]:
         raise ValueError("matrix must be square")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    order = a.shape[0]
-    if order == 0:
+    if a.size == 0:
         return []
-    if _off_norm(a - a.T) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
+    if np.linalg.norm(a - a.T) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
         raise ValueError("matrix must be symmetric")
-    threshold = _TOL * order
-    for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) < threshold:
-            break
-        for p in range(order - 1):
-            for q in range(p + 1, order):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.hypot(theta, 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, q] = a[q, p] = 0.0
-    else:
-        if _off_norm(a) >= threshold:
-            raise NumericFailure(
-                f"Jacobi iteration stalled after {_MAX_SWEEPS} sweeps"
-            )
-    return sorted(np.diagonal(a).tolist())
+    return np.linalg.eigvalsh(a).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def test_full_spectrum_shape():
 
 
 def test_decomposition_check():
-    for n in range(1, 11):
+    for n in [*range(1, 11), 100]:  # n = 100 is a 600 x 600 full matrix
         g = gg.build_moebius_octagonal(n)
         full = orc.eigenvalues_symmetric(lap.normalized_laplacian(g))
         la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
