@@ -1,29 +1,33 @@
 """Exact arithmetic building blocks.
 
 Everything downstream that claims to be "exact" bottoms out here: matrix
-elimination (determinants, truncated determinant series, principal minors),
-integer powers of the fundamental unit 4 + sqrt(15) (one at a time, or
-stepped along consecutive exponents), and string/decimal rendering of
-integers and rationals.  All matrix work is fraction-free elimination
-(Bareiss) on integer rows, so intermediate values stay integral; rational
-matrices are first cleared to integers row by row, and the integer kernels
-refuse anything that is not an integer (``int`` or a numpy integer) with
-``TypeError`` rather than truncate it.  There is one elimination,
-:func:`det_series`: a banded forward elimination over truncated power series
-that gives every determinant, the lowest coefficients of
-det(R + z*diag(shift)) that characteristic polynomials are read from, and,
-through :func:`principal_minors`, every principal minor of a rational
-matrix (the leading minors of a block section and its vertex-deleted
-minors alike).
+elimination (determinants, truncated determinant series, leading and
+vertex-deleted minors), integer powers of the fundamental unit 4 + sqrt(15)
+(one at a time, or stepped along consecutive exponents), and string/decimal
+rendering of integers and rationals.  The integer kernels take ``int`` or
+numpy integers, the rational ones ``Fraction`` too; anything else, a float
+above all, raises ``TypeError`` rather than being truncated.
+
+Determinants are fraction-free elimination (Bareiss) on integer rows, so
+intermediate values stay integral; rational matrices are first cleared to
+integers row by row.  :func:`det_series`, a banded forward elimination over
+truncated power series, gives every determinant and the lowest coefficients
+of det(R + z*diag(shift)) that characteristic polynomials are read from.
+The minors of a rational matrix come from sweeps over its band with
+``Fraction`` windows, not from one determinant each:
+:func:`leading_minors` is one forward elimination, and
+:func:`deleted_minors` joins a forward and a backward one by a twisted
+factorization.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +80,16 @@ def _square_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _as_fraction(value) -> Fraction:
+    """A Fraction, an int or a numpy integer as a Fraction; anything else,
+    a float above all, raises ``TypeError``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise TypeError(
+            f"expected an exact rational, got {type(value).__name__}"
+        ) from None
 
 
 def _cleared_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
@@ -228,28 +237,138 @@ def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
     return det_series(rows)[0]
 
 
-def principal_minors(
-    m: Sequence[Sequence], index_sets: Iterable[Sequence[int]]
-) -> list[Fraction]:
-    """det(m[K, K]) of a rational N x N matrix for each index set K, in order.
+# ---------------------------------------------------------------------------
+# Exact linear algebra: every leading or vertex-deleted minor in one sweep
+# ---------------------------------------------------------------------------
 
-    The rows are cleared to integers once, and each minor is one
-    :func:`bareiss_det_int` of the cleared rows and columns in K, divided by
-    the scales of the rows it keeps; the empty set gives 1.  A non-square
-    matrix, an index outside 0..N-1 or a repeated index raises
-    ``ValueError``.
-    """
-    rows, scales = _cleared_rows(m)
-    if any(len(row) != len(rows) for row in rows):
+
+def _sparse_rows(m: Sequence[Sequence]) -> list[dict[int, Fraction]]:
+    """The nonzero entries of a square rational matrix, row by row."""
+    if any(len(row) != len(m) for row in m):
         raise ValueError("matrix must be square")
+    return [{j: f for j, x in enumerate(row) if (f := _as_fraction(x))} for row in m]
+
+
+def _half_bandwidth(rows: list[dict[int, Fraction]]) -> int:
+    return max((abs(i - j) for i, row in enumerate(rows) for j in row), default=0)
+
+
+def _schur_sweep(
+    rows: list[dict[int, Fraction]], b: int
+) -> tuple[list[Fraction], list[list[list[Fraction]]]] | None:
+    """Forward elimination without pivoting of a matrix of half-bandwidth b.
+
+    Step k reads the window of the Schur complement on [k, k + b] (clipped
+    to the matrix): eliminating [0, k) changes no entry outside
+    [k, k + b) x [k, k + b), and the window's last row and column are still
+    those of the matrix.  Returns the pivots, whose first k give the leading
+    minor of order k, and the window of every step; or None if a pivot other
+    than the last is zero, as the sweep cannot go past it.
+    """
+    n = len(rows)
+    zero = Fraction(0)
+    size = min(b + 1, n)
+    window = [[rows[i].get(j, zero) for j in range(size)] for i in range(size)]
+    pivots, windows = [], []
+    for k in range(n):
+        pivot, top = window[0][0], window[0]
+        pivots.append(pivot)
+        windows.append(window)
+        if k == n - 1:
+            break
+        if not pivot:
+            return None
+        size, inner = min(b + 1, n - k - 1), min(b, n - k - 1)
+        nxt = []
+        for old in window[1 : inner + 1]:
+            f = old[0] / pivot
+            cols = range(1, inner + 1)
+            nxt.append([old[c] - f * top[c] if f else old[c] for c in cols])
+        if size > inner:  # row and column k + 1 + b enter the window untouched
+            last = k + 1 + b
+            for i, row in enumerate(nxt, start=k + 1):
+                row.append(rows[i].get(last, zero))
+            nxt.append([rows[last].get(j, zero) for j in range(k + 1, last + 1)])
+        window = nxt
+    return pivots, windows
+
+
+def _minors_per_set(m: Sequence[Sequence], index_sets) -> list[Fraction]:
+    """det(m[K, K]) for each index set K: one :func:`bareiss_det_int` of the
+    rows cleared to integers, divided by the scales of the rows it keeps."""
+    rows, scales = _cleared_rows(m)
+    return [
+        Fraction(
+            bareiss_det_int([[rows[i][j] for j in keep] for i in keep]),
+            math.prod(scales[i] for i in keep),
+        )
+        for keep in index_sets
+    ]
+
+
+def leading_minors(m: Sequence[Sequence]) -> list[Fraction]:
+    """det(m[:k, :k]) of a square rational matrix for k = 1..N, in order.
+
+    One forward elimination without pivoting, in the given order: the
+    product of the first k pivots is the leading minor of order k, so a
+    matrix of half-bandwidth b costs O(N * b**2).  If a pivot other than the last is
+    zero, each minor is computed on its own instead.  A non-square matrix
+    raises ``ValueError``, an entry that is not an exact rational
+    ``TypeError``.
+    """
+    rows = _sparse_rows(m)
+    sweep = _schur_sweep(rows, _half_bandwidth(rows))
+    if sweep is None:
+        return _minors_per_set(m, [range(k) for k in range(1, len(rows) + 1)])
+    return list(itertools.accumulate(sweep[0], operator.mul))
+
+
+def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
+    """det of m without row and column x, for x = 0..N-1, in order.
+
+    A twisted factorization (Meurant 1992; Parlett & Dhillon 1997): in
+    reverse Cuthill-McKee order with half-bandwidth b, deleting x leaves the
+    leading block L = [0, x) and the trailing block R = [x + b, N), coupled
+    only through W = [x + 1, x + b).  With F_x the window of the forward
+    sweep at x and G the window of the backward sweep that has eliminated R,
+
+        det(m without x) = lead(x) * trail(R) * det(F_x[W] + G[W] - m[W, W]),
+
+    since F_x[W] and G[W] are m[W, W] less the couplings through L and
+    through R.  The two sweeps cost O(N * b**2), the (b - 1) x (b - 1)
+    determinants O(N * b**3) in all.  As in :func:`leading_minors`, a zero
+    pivot other than the last of either sweep sends every minor to its own
+    determinant, and bad input raises the same errors.
+    """
+    rows = _sparse_rows(m)
+    n = len(rows)
+    order = reverse_cuthill_mckee(m)
+    place = {old: new for new, old in enumerate(order)}
+    band = [{place[j]: x for j, x in rows[i].items()} for i in order]
+    b = max(1, _half_bandwidth(band))
+    forward = _schur_sweep(band, b)
+    mirrored = [{n - 1 - j: x for j, x in row.items()} for row in band[::-1]]
+    backward = _schur_sweep(mirrored, b)
+    if forward is None or backward is None:
+        return _minors_per_set(m, [[i for i in range(n) if i != x] for x in range(n)])
+    one = Fraction(1)
+    lead = [one, *itertools.accumulate(forward[0], operator.mul)]
+    trail = [one, *itertools.accumulate(backward[0], operator.mul)]
     minors = []
-    for keep in index_sets:
-        keep = [operator.index(i) for i in keep]
-        if len(set(keep)) < len(keep) or not all(0 <= i < len(rows) for i in keep):
-            raise ValueError(f"index set {keep} repeats or leaves 0..{len(rows) - 1}")
-        det = bareiss_det_int([[rows[i][j] for j in keep] for i in keep])
-        minors.append(Fraction(det, math.prod(scales[i] for i in keep)))
-    return minors
+    for x in range(n):
+        end = min(x + b, n)  # R = [end, n); W = x + 1..x + h
+        f, g, h = forward[1][x], backward[1][n - end], end - 1 - x
+        w = range(1, h + 1)
+        schur = [
+            [f[r][c] + g[h - r][h - c] - band[x + r].get(x + c, 0) for c in w]
+            for r in w
+        ]
+        if h <= 1:
+            det = schur[0][0] if schur else one
+        else:
+            det = _minors_per_set(schur, [range(h)])[0]
+        minors.append(lead[x] * trail[n - end] * det)
+    return [minors[place[x]] for x in range(n)]
 
 
 # ---------------------------------------------------------------------------

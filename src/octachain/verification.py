@@ -14,8 +14,10 @@ block images of Q_n and the three lowest coefficients of their
 characteristic polynomials, the block images of Q_(n+1) whose index ranges
 are the phase sections, the bipartition, the Kemeny oracle value, the full
 spectrum) are built on first use and then reused, and returns the fields of
-its :class:`CheckResult`.  Every exact minor is one
-:func:`~octachain.exact_algebra.principal_minors` call over index sets.
+its :class:`CheckResult`.  Each minor ladder is one
+:func:`~octachain.exact_algebra.leading_minors` sweep over a section, and
+each family of vertex-deleted minors one
+:func:`~octachain.exact_algebra.deleted_minors` sweep over a block image.
 Vector checks report their first three mismatches with both values.
 
 Checks against the published degree-weighted-resistance table are marked
@@ -140,14 +142,13 @@ def _ladder(label: str, m: int, expected, actual) -> dict:
 
 
 def _leading_minors(c: _Chain, closed, family: str, phase: int) -> dict:
-    sections = [range(phase, phase + j) for j in range(1, c.m + 1)]
-    minors = xa.principal_minors(c.section[family], sections)
+    window = slice(phase, phase + c.m)
+    minors = xa.leading_minors([row[window] for row in c.section[family][window]])
     return _ladder("j", c.m, lambda j: closed(phase, j), lambda j: minors[j - 1])
 
 
 def _deleted_minors(c: _Chain, closed, family: str) -> dict:
-    kept = [[i for i in range(c.m) if i != x] for x in range(c.m)]
-    minors = xa.principal_minors(c.image[family], kept)
+    minors = xa.deleted_minors(c.image[family])
     return _ladder("x", c.m, lambda x: closed(x, c.n), lambda x: minors[x - 1])
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from octachain import closed_forms as cf
 from octachain import exact_algebra as xa
 from octachain import laplacian as lap
+from minor_reference import principal_minors
 
 F = Fraction
 
@@ -75,7 +76,7 @@ def test_w_matches_exact_leading_minors():
         m = 3 * n
         for p in (0, 1, 2):
             sections = [range(p, p + j) for j in range(1, m + 1)]
-            mins = xa.principal_minors(lap.rational_block_image(n + 1, "A"), sections)
+            mins = principal_minors(lap.rational_block_image(n + 1, "A"), sections)
             assert mins == [cf.w_minor(p, j) for j in range(1, m + 1)]
 
 
@@ -84,7 +85,7 @@ def test_q_matches_exact_leading_minors():
         m = 3 * n
         for p in (0, 1):
             sections = [range(p, p + j) for j in range(1, m + 1)]
-            mins = xa.principal_minors(lap.rational_block_image(n + 1, "S"), sections)
+            mins = principal_minors(lap.rational_block_image(n + 1, "S"), sections)
             assert mins == [cf.q_minor(p, j) for j in range(1, m + 1)]
 
 
@@ -159,7 +160,40 @@ def test_deleted_minors_match_actual_determinants():
             image = lap.rational_block_image(n, family)
             for x in range(1, 3 * n + 1):
                 kept = [i for i in range(3 * n) if i != x - 1]
-                assert xa.principal_minors(image, [kept]) == [closed(x, n)]
+                assert principal_minors(image, [kept]) == [closed(x, n)]
+
+
+# (family, closed form, phase) of the five minor ladders
+LADDERS = [("A", cf.w_minor, p) for p in (0, 1, 2)]
+LADDERS += [("S", cf.q_minor, p) for p in (0, 1)]
+
+
+def _section(n, family, phase):
+    """The order-3n section at `phase`: a window of the image of Q_(n+1)."""
+    window = slice(phase, phase + 3 * n)
+    return [row[window] for row in lap.rational_block_image(n + 1, family)[window]]
+
+
+def test_minor_sweeps_match_the_closed_forms_at_n_200():
+    n, m = 200, 600
+    for family, closed in (("A", cf.minor_det_la), ("S", cf.minor_det_ls)):
+        want = [closed(x, n) for x in range(1, m + 1)]
+        assert xa.deleted_minors(lap.rational_block_image(n, family)) == want, family
+    for family, closed, phase in LADDERS:
+        want = [closed(phase, j) for j in range(1, m + 1)]
+        assert xa.leading_minors(_section(n, family, phase)) == want, (family, phase)
+
+
+def test_the_block_images_never_need_the_per_set_route(monkeypatch):
+    def refuse(m, index_sets):
+        raise AssertionError("a minor sweep fell back to one determinant per set")
+
+    monkeypatch.setattr(xa, "_minors_per_set", refuse)
+    for n in range(1, 21):
+        for family in "AS":
+            assert len(xa.deleted_minors(lap.rational_block_image(n, family))) == 3 * n
+        for family, _, phase in LADDERS:
+            assert len(xa.leading_minors(_section(n, family, phase))) == 3 * n
 
 
 def test_minor_x_out_of_range():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octachain import exact_algebra as xa
+from octachain import oracles as orc
+from minor_reference import principal_minors
 
 F = Fraction
 
@@ -86,9 +88,10 @@ def test_det_series_matches_leibniz(rows):
 
 # built from numerator and denominator: about 5x faster to draw than
 # st.fractions
+small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
 rational_matrices = st.lists(
     st.lists(
-        st.builds(F, st.integers(min_value=-12, max_value=12), st.integers(1, 4)),
+        small_rationals,
         min_size=4,
         max_size=4,
     ),
@@ -101,19 +104,19 @@ rational_matrices = st.lists(
 @given(rational_matrices)
 def test_bareiss_matches_fraction_elimination(m):
     # the row-cleared integer determinant, scaled back, against Leibniz
-    assert xa.principal_minors(m, [range(4)]) == [_leibniz_det(m)]
+    assert principal_minors(m, [range(4)]) == [_leibniz_det(m)]
 
 
 @settings(max_examples=200)
 @given(rational_matrices, st.lists(st.sets(st.integers(0, 3)), max_size=5))
 def test_principal_minors_match_leibniz(m, index_sets):
     want = [_leibniz_det([[m[i][j] for j in k] for i in k]) for k in index_sets]
-    assert xa.principal_minors(m, index_sets) == want
+    assert principal_minors(m, index_sets) == want
 
 
 def test_principal_minor_of_the_empty_set_is_one():
-    assert xa.principal_minors([[F(1, 2), 1], [3, 4]], [[]]) == [1]
-    assert xa.principal_minors([], [()]) == [1]
+    assert principal_minors([[F(1, 2), 1], [3, 4]], [[]]) == [1]
+    assert principal_minors([], [()]) == [1]
 
 
 @pytest.mark.parametrize(
@@ -129,7 +132,7 @@ def test_principal_minor_of_the_empty_set_is_one():
 )
 def test_principal_minors_refuse_bad_input(m, index_sets, error):
     with pytest.raises(error):
-        xa.principal_minors(m, index_sets)
+        principal_minors(m, index_sets)
 
 
 def test_det_series_pencil():
@@ -149,21 +152,23 @@ def test_deleted_minors():
     m = [[F(1, 2), 1, 0], [F(1, 3), 2, 1], [0, F(1, 4), 3]]
     keep = [[1, 2], [0, 2], [0, 1]]
     sub = [[[m[i][j] for j in k] for i in k] for k in keep]
-    want = [xa.principal_minors(s, [range(2)])[0] for s in sub]
-    assert xa.principal_minors(m, keep) == want == [F(23, 4), F(3, 2), F(2, 3)]
+    want = [principal_minors(s, [range(2)])[0] for s in sub]
+    assert principal_minors(m, keep) == want == [F(23, 4), F(3, 2), F(2, 3)]
+    assert xa.deleted_minors(m) == want
 
 
 def test_principal_minor_of_the_full_set_is_the_determinant():
     m = [[F(1, 2), F(1, 3)], [F(1, 4), F(1, 5)]]
-    assert xa.principal_minors(m, [range(2)]) == [F(1, 10) - F(1, 12)]
+    assert principal_minors(m, [range(2)]) == [F(1, 10) - F(1, 12)]
 
 
 def test_leading_principal_minors():
     leading = [range(1), range(2)]
     m = [[F(1, 2), 0], [0, F(3, 4)]]
-    assert xa.principal_minors(m, leading) == [F(1, 2), F(3, 8)]
+    assert principal_minors(m, leading) == xa.leading_minors(m) == [F(1, 2), F(3, 8)]
     # a zero leading minor
-    assert xa.principal_minors([[0, 1], [1, 0]], leading) == [0, -1]
+    assert principal_minors([[0, 1], [1, 0]], leading) == [0, -1]
+    assert xa.leading_minors([[0, 1], [1, 0]]) == [0, -1]
 
 
 @pytest.mark.parametrize(
@@ -193,7 +198,98 @@ def test_leading_minors_match_prefix_determinants(m, zero_corner):
     if zero_corner:
         m[0][0] = F(0)  # a zero leading minor
     want = [_leibniz_det([row[:k] for row in m[:k]]) for k in range(1, 5)]
-    assert xa.principal_minors(m, [range(k) for k in range(1, 5)]) == want
+    assert principal_minors(m, [range(k) for k in range(1, 5)]) == want
+    assert xa.leading_minors(m) == want
+
+
+@st.composite
+def cyclic_banded_matrices(draw):
+    """Rational matrices whose entries lie within b of the diagonal,
+    counted around the cycle, so corners couple the first and last rows."""
+    n, b = draw(st.integers(0, 8)), draw(st.integers(0, 2))
+    near = [[min(abs(i - j), n - abs(i - j)) <= b for j in range(n)] for i in range(n)]
+    return [[draw(small_rationals) if x else F(0) for x in row] for row in near]
+
+
+def _leading_sets(n):
+    return [range(k) for k in range(1, n + 1)]
+
+
+def _deleted_sets(n):
+    return [[i for i in range(n) if i != x] for x in range(n)]
+
+
+@settings(max_examples=300)
+@given(st.one_of(rational_matrices, cyclic_banded_matrices(), sparse_int_matrices))
+def test_sweeps_match_the_per_set_reference(m):
+    leading, deleted = xa.leading_minors(m), xa.deleted_minors(m)
+    assert leading == principal_minors(m, _leading_sets(len(m)))
+    assert deleted == principal_minors(m, _deleted_sets(len(m)))
+    assert all(type(x) is F for x in leading + deleted)
+
+
+@pytest.fixture
+def per_set_calls(monkeypatch):
+    """How many index sets each call of the sweeps' per-set route gets."""
+    calls, per_set = [], xa._minors_per_set
+
+    def spy(m, index_sets):
+        calls.append(len(index_sets))
+        return per_set(m, index_sets)
+
+    monkeypatch.setattr(xa, "_minors_per_set", spy)
+    return calls
+
+
+def test_a_zero_proper_pivot_sends_the_sweep_to_the_per_set_route(per_set_calls):
+    m = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # a path: the first pivot is 0
+    assert xa.leading_minors(m) == principal_minors(m, _leading_sets(3)) == [0, -1, 0]
+    assert xa.deleted_minors(m) == principal_minors(m, _deleted_sets(3)) == [-1, 0, -1]
+    assert per_set_calls == [3, 3]
+
+
+def test_only_a_zero_last_pivot_keeps_the_sweep(per_set_calls):
+    # the Laplacian of the 5-cycle, corners included: singular, and every
+    # proper principal minor is positive
+    ring = [[-1 if (i - j) % 5 in (1, 4) else 0 for j in range(5)] for i in range(5)]
+    m = [[2 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ring)]
+    leading = xa.leading_minors(m)
+    assert leading == principal_minors(m, _leading_sets(5)) and leading[-1] == 0
+    assert xa.deleted_minors(m) == principal_minors(m, _deleted_sets(5)) == [5] * 5
+    assert per_set_calls == []
+
+
+def test_sweeps_of_the_smallest_matrices():
+    assert xa.leading_minors([[F(3, 2)]]) == [F(3, 2)]
+    assert xa.leading_minors([[0]]) == [0]  # the only pivot is the last one
+    assert xa.deleted_minors([[F(3, 2)]]) == [1]
+    assert xa.leading_minors([]) == xa.deleted_minors([]) == []
+
+
+@pytest.mark.parametrize("sweep", [xa.leading_minors, xa.deleted_minors])
+@pytest.mark.parametrize(
+    "m, error",
+    [
+        ([[1.5, 0], [0, 1]], TypeError),
+        ([[1, 0.0], [0, 1]], TypeError),
+        ([[1, 0]], ValueError),
+        ([[1, 0], [0]], ValueError),
+    ],
+    ids=["float-entry", "float-zero", "not-square", "ragged"],
+)
+def test_sweeps_refuse_bad_input(sweep, m, error):
+    with pytest.raises(error):
+        sweep(m)
+
+
+def test_rational_kernels_accept_numpy_integers():
+    m = np.array([[2, -1], [-1, 2]], dtype=np.int64)
+    assert orc.charpoly_exact(m) == [3, -4, 1]
+    assert xa.leading_minors(m) == [2, 3]
+    assert xa.deleted_minors(m) == [2, 2]
+    assert xa.frac_to_str(np.int64(-7)) == "-7/1"
+    with pytest.raises(TypeError):
+        xa.frac_to_str(np.float64(0.5))
 
 
 def test_fraction_serialization():

