@@ -14,7 +14,6 @@ from .closed_forms import (
     spanning_trees,
     spectral_summary,
     sum_recip_alpha,
-    summary_json,
     xi,
 )
 from .graph_gen import (
@@ -44,7 +43,6 @@ __all__ = [
     "spanning_trees",
     "spectral_summary",
     "sum_recip_alpha",
-    "summary_json",
     "xi",
     "__version__",
 ]

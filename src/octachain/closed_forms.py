@@ -33,12 +33,11 @@ Quantities provided (for the closed chain with parameter n):
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import frac_to_str, int_to_str, unit_power, unit_powers
+from .exact_algebra import unit_power, unit_powers
 
 F = Fraction
 
@@ -283,18 +282,4 @@ def spectral_summary(n: int) -> SpectralSummary:
         dk=14 * n * k,
         kemeny=k,
         tau=_spanning_trees(n, t, u),
-    )
-
-
-def summary_json(s: SpectralSummary) -> str:
-    return json.dumps(
-        {
-            "n": s.n,
-            "sum_recip_alpha": frac_to_str(s.sum_recip_alpha),
-            "xi": frac_to_str(s.sum_recip_rho),
-            "dk": frac_to_str(s.dk),
-            "dk_decimal": float(s.dk),
-            "kemeny": frac_to_str(s.kemeny),
-            "tau": int_to_str(s.tau),
-        }
     )

@@ -8,16 +8,18 @@ rendering of integers and rationals.  The integer kernels take ``int`` or
 numpy integers, the rational ones ``Fraction`` too; anything else, a float
 above all, raises ``TypeError`` rather than being truncated.
 
-Determinants are fraction-free elimination (Bareiss) on integer rows, so
-intermediate values stay integral; rational matrices are first cleared to
-integers row by row.  :func:`det_series`, a banded forward elimination over
-truncated power series, gives every determinant and the lowest coefficients
-of det(R + z*diag(shift)) that characteristic polynomials are read from.
-The minors of a rational matrix come from sweeps over its band with
-``Fraction`` windows, not from one determinant each:
-:func:`leading_minors` is one forward elimination, and
-:func:`deleted_minors` joins a forward and a backward one by a twisted
-factorization.
+Each kernel iterates every row of its matrix once, keeping the nonzero
+entries as ``{column: entry}`` rows that the elimination, the reverse
+Cuthill-McKee order and the sweeps all work on.  Determinants are
+fraction-free elimination (Bareiss) on integer rows, so intermediate values
+stay integral; rational matrices are first cleared to integers row by row.
+:func:`det_series`, a banded forward elimination over truncated power
+series, gives every determinant and the lowest coefficients of
+det(R + z*diag(shift)) that characteristic polynomials are read from.  The
+minors of a rational matrix come from sweeps over its band with
+``Fraction`` windows, not from one determinant each: :func:`leading_minors`
+is one forward elimination, and :func:`deleted_minors` joins a forward and
+a backward one by a twisted factorization.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -72,13 +74,6 @@ def _unit_steps(t: int, u: int) -> Iterator[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _square_int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    a = [[operator.index(x) for x in row] for row in rows]
-    if any(len(row) != len(a) for row in a):
-        raise ValueError("matrix must be square")
-    return a
-
-
 def _as_fraction(value) -> Fraction:
     """A Fraction, an int or a numpy integer as a Fraction; anything else,
     a float above all, raises ``TypeError``."""
@@ -92,19 +87,33 @@ def _as_fraction(value) -> Fraction:
         ) from None
 
 
-def _cleared_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Integer rows of a rational matrix, each row multiplied by its
-    denominator lcm, and those row scales."""
-    rows, scales = [], []
+def _read_rows(m: Sequence[Sequence], entry) -> list[dict]:
+    """The nonzero entries of a square matrix as ``{column: entry(x)}`` rows,
+    every row iterated once.  ``entry`` (``operator.index`` or
+    :func:`_as_fraction`) sees zeros too, so a float zero raises
+    ``TypeError``; a row of the wrong length raises ``ValueError``."""
+    rows = []
     for row in m:
-        row = [_as_fraction(x) for x in row]
-        scales.append(math.lcm(*(x.denominator for x in row)))
-        rows.append([x.numerator * (scales[-1] // x.denominator) for x in row])
-    return rows, scales
+        if len(row) != len(m):
+            raise ValueError("matrix must be square")
+        rows.append({j: y for j, x in enumerate(row) if (y := entry(x))})
+    return rows
 
 
-def reverse_cuthill_mckee(rows: Sequence[Sequence]) -> list[int]:
-    """A reverse Cuthill-McKee order of a square matrix (Cuthill & McKee 1969).
+def _cleared_rows(rows: list[dict[int, Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Dense integer rows of sparse rational rows, each row multiplied by its
+    denominator lcm, and those row scales."""
+    scales = [math.lcm(*(x.denominator for x in row.values())) for row in rows]
+    cleared = [[0] * len(rows) for _ in rows]
+    for dense, row, scale in zip(cleared, rows, scales):
+        for j, x in row.items():
+            dense[j] = x.numerator * (scale // x.denominator)
+    return cleared, scales
+
+
+def reverse_cuthill_mckee(rows: Sequence[Mapping[int, object]]) -> list[int]:
+    """A reverse Cuthill-McKee order (Cuthill & McKee 1969) of a square matrix
+    given as ``{column: entry}`` rows of its nonzeros; only columns are read.
 
     Breadth-first search over the graph of the nonzero off-diagonal entries
     of R + R^T, started in each component at a vertex of least degree and
@@ -113,8 +122,8 @@ def reverse_cuthill_mckee(rows: Sequence[Sequence]) -> list[int]:
     """
     adj = [set() for _ in rows]
     for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if x and i != j:
+        for j in row:
+            if i != j:
                 adj[i].add(j)
                 adj[j].add(i)
     seen = [False] * len(adj)
@@ -174,7 +183,7 @@ def det_series(
     elimination continues with one term fewer.  A singular R therefore
     gives ``[0]`` at ``terms=1``.
     """
-    a = _square_int_rows(rows)
+    a = _read_rows(rows, operator.index)
     n = len(a)
     shift = [0] * n if shift is None else [operator.index(s) for s in shift]
     if len(shift) != n:
@@ -186,12 +195,11 @@ def det_series(
     zero = (0,) * terms
     band, cols = [], [set() for _ in range(n)]
     for new_i, i in enumerate(order):
-        row = {}
-        for j, x in enumerate(a[i]):
-            s = shift[i] if i == j else 0
-            if x or s:
-                row[place[j]] = [x, s, *zero][:terms]
-                cols[place[j]].add(new_i)
+        row = {place[j]: [x, *zero[1:]] for j, x in a[i].items()}
+        if shift[i] and terms > 1:
+            row.setdefault(new_i, list(zero))[1] = shift[i]
+        for j in row:
+            cols[j].add(new_i)
         band.append(row)
 
     t, z_power = terms, 0
@@ -242,13 +250,6 @@ def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_rows(m: Sequence[Sequence]) -> list[dict[int, Fraction]]:
-    """The nonzero entries of a square rational matrix, row by row."""
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("matrix must be square")
-    return [{j: f for j, x in enumerate(row) if (f := _as_fraction(x))} for row in m]
-
-
 def _half_bandwidth(rows: list[dict[int, Fraction]]) -> int:
     return max((abs(i - j) for i, row in enumerate(rows) for j in row), default=0)
 
@@ -293,13 +294,14 @@ def _schur_sweep(
     return pivots, windows
 
 
-def _minors_per_set(m: Sequence[Sequence], index_sets) -> list[Fraction]:
-    """det(m[K, K]) for each index set K: one :func:`bareiss_det_int` of the
-    rows cleared to integers, divided by the scales of the rows it keeps."""
-    rows, scales = _cleared_rows(m)
+def _minors_per_set(rows: list[dict[int, Fraction]], index_sets) -> list[Fraction]:
+    """det(m[K, K]) for each index set K of the sparse rows of m: one
+    :func:`bareiss_det_int` of the rows cleared to integers, divided by the
+    scales of the rows it keeps."""
+    cleared, scales = _cleared_rows(rows)
     return [
         Fraction(
-            bareiss_det_int([[rows[i][j] for j in keep] for i in keep]),
+            bareiss_det_int([[cleared[i][j] for j in keep] for i in keep]),
             math.prod(scales[i] for i in keep),
         )
         for keep in index_sets
@@ -316,10 +318,10 @@ def leading_minors(m: Sequence[Sequence]) -> list[Fraction]:
     raises ``ValueError``, an entry that is not an exact rational
     ``TypeError``.
     """
-    rows = _sparse_rows(m)
+    rows = _read_rows(m, _as_fraction)
     sweep = _schur_sweep(rows, _half_bandwidth(rows))
     if sweep is None:
-        return _minors_per_set(m, [range(k) for k in range(1, len(rows) + 1)])
+        return _minors_per_set(rows, [range(k) for k in range(1, len(rows) + 1)])
     return list(itertools.accumulate(sweep[0], operator.mul))
 
 
@@ -340,9 +342,9 @@ def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
     pivot other than the last of either sweep sends every minor to its own
     determinant, and bad input raises the same errors.
     """
-    rows = _sparse_rows(m)
+    rows = _read_rows(m, _as_fraction)
     n = len(rows)
-    order = reverse_cuthill_mckee(m)
+    order = reverse_cuthill_mckee(rows)
     place = {old: new for new, old in enumerate(order)}
     band = [{place[j]: x for j, x in rows[i].items()} for i in order]
     b = max(1, _half_bandwidth(band))
@@ -350,7 +352,8 @@ def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
     mirrored = [{n - 1 - j: x for j, x in row.items()} for row in band[::-1]]
     backward = _schur_sweep(mirrored, b)
     if forward is None or backward is None:
-        return _minors_per_set(m, [[i for i in range(n) if i != x] for x in range(n)])
+        deleted = [[i for i in range(n) if i != x] for x in range(n)]
+        return _minors_per_set(rows, deleted)
     one = Fraction(1)
     lead = [one, *itertools.accumulate(forward[0], operator.mul)]
     trail = [one, *itertools.accumulate(backward[0], operator.mul)]
@@ -360,7 +363,7 @@ def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
         f, g, h = forward[1][x], backward[1][n - end], end - 1 - x
         w = range(1, h + 1)
         schur = [
-            [f[r][c] + g[h - r][h - c] - band[x + r].get(x + c, 0) for c in w]
+            {c - 1: f[r][c] + g[h - r][h - c] - band[x + r].get(x + c, 0) for c in w}
             for r in w
         ]
         if h <= 1:

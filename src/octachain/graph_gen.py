@@ -25,6 +25,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 MOEBIUS = "moebius"
 LINEAR = "linear"
@@ -159,16 +160,25 @@ def _checked_edges(vertex_count: int, edges) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _graph_data(g) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """``(vertex_count, edges)`` of a ChainGraph, or of a plain pair with a
-    non-negative vertex count after :func:`_checked_edges`."""
-    if isinstance(g, ChainGraph):
-        return g.vertex_count, g.edges
+class _Graph(NamedTuple):
+    """A ``(vertex_count, edges)`` pair that :func:`_graph_data` has checked,
+    so a function it is passed down to does not check it again."""
+
+    vertex_count: int
+    edges: tuple[tuple[int, int], ...]
+
+
+def _graph_data(g) -> _Graph:
+    """``(vertex_count, edges)`` of a ChainGraph or a :class:`_Graph` as
+    they are, or of a plain pair with a non-negative vertex count after
+    :func:`_checked_edges`."""
+    if isinstance(g, (ChainGraph, _Graph)):
+        return _Graph(g.vertex_count, g.edges)
     vertex_count, edges = g
     vertex_count = operator.index(vertex_count)
     if vertex_count < 0:
         raise ValueError("vertex count must not be negative")
-    return vertex_count, _checked_edges(vertex_count, edges)
+    return _Graph(vertex_count, _checked_edges(vertex_count, edges))
 
 
 def vertex_degrees(g) -> tuple[int, ...]:
@@ -182,8 +192,8 @@ def vertex_degrees(g) -> tuple[int, ...]:
 
 
 def is_connected(g) -> bool:
-    vertex_count, edges = _graph_data(g)
-    if vertex_count == 0:
+    g = _graph_data(g)
+    if g.vertex_count == 0:
         return True
     adj = adjacency_lists(g)
     seen = {0}
@@ -193,7 +203,7 @@ def is_connected(g) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == vertex_count
+    return len(seen) == g.vertex_count
 
 
 def degree_product(g: ChainGraph) -> int:
@@ -207,12 +217,12 @@ def is_bipartite(g):
     ``(False, cycle)`` where ``cycle`` is an odd-length vertex tuple whose
     consecutive pairs (wrapping around) are all edges.
     """
-    vertex_count, _ = _graph_data(g)
+    g = _graph_data(g)
     adj = adjacency_lists(g)
-    colour = [-1] * vertex_count
-    parent = [-1] * vertex_count
-    depth = [0] * vertex_count
-    for root in range(vertex_count):
+    colour = [-1] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    depth = [0] * g.vertex_count
+    for root in range(g.vertex_count):
         if colour[root] != -1:
             continue
         colour[root] = 0

@@ -51,8 +51,9 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
     3n rows are kept, and a bottom column k is folded onto its mirror column
     with that sign.
     """
-    vertex_count, edges = _graph_data(g)
-    d = vertex_degrees(g)
+    data = _graph_data(g)
+    vertex_count, edges = data
+    d = vertex_degrees(data)
     if unit is not None and 0 in d:
         raise ValueError("normalized Laplacian needs every degree positive")
     size, mirror = vertex_count, None

@@ -18,7 +18,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .exact_algebra import _cleared_rows, bareiss_det_int, det_series
+from .exact_algebra import _as_fraction, _cleared_rows, _read_rows
+from .exact_algebra import bareiss_det_int, det_series
 from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian
 
@@ -67,15 +68,15 @@ def charpoly_exact(m, terms: int | None = None) -> list[Fraction]:
     all of them, or only the lowest `terms`.
 
     With S the diagonal of row scales that clears M to integers,
-    det(zI - M) = det(zS - SM) / det(S); the integer pencil is expanded by
-    :func:`~octachain.exact_algebra.det_series`, the banded elimination over
-    truncated power series.
+    det(zI - M) = (-1)^N det(SM - zS) / det(S); the integer pencil is
+    expanded by :func:`~octachain.exact_algebra.det_series`, the banded
+    elimination over truncated power series.
     """
-    rows, scales = _cleared_rows(m)
+    rows, scales = _cleared_rows(_read_rows(m, _as_fraction))
     if terms is None:
         terms = len(rows) + 1
-    coeffs = det_series([[-x for x in row] for row in rows], scales, terms)
-    total = math.prod(scales)
+    coeffs = det_series(rows, [-s for s in scales], terms)
+    total = (-1) ** len(rows) * math.prod(scales)
     return [F(c, total) for c in coeffs]
 
 
@@ -124,9 +125,10 @@ def kemeny_oracle(g) -> Fraction:
     by Vieta, read from the three lowest coefficients of the pencil.  A
     single vertex has no nonzero eigenvalue: the empty sum, 0.
     """
+    g = _graph_data(g)
     if not is_connected(g):
         raise DisconnectedGraph("Kemeny's constant needs a connected graph")
-    if _graph_data(g)[0] == 1:
+    if g.vertex_count == 1:
         return F(0)
     pencil = det_series(combinatorial_laplacian(g), [-d for d in vertex_degrees(g)], 3)
     return recip_sum_from_charpoly(pencil)
@@ -143,14 +145,14 @@ def dk_oracle(g) -> Fraction:
     and the bordered matrix [[L0, d0], [d0^T, 0]] has determinant
     -tau * d0^T G d0, where tau = det(L0) is the spanning tree count.
     """
+    g = _graph_data(g)
     if not is_connected(g):
         raise DisconnectedGraph("resistances need a connected graph")
-    _, edges = _graph_data(g)
     grounded = [row[1:] for row in combinatorial_laplacian(g)[1:]]
     degrees = list(vertex_degrees(g)[1:])
     tau, trace = det_series(grounded, degrees, 2)
     bordered = [row + [d] for row, d in zip(grounded, degrees)] + [degrees + [0]]
-    return F(2 * len(edges) * trace + bareiss_det_int(bordered), tau)
+    return F(2 * len(g.edges) * trace + bareiss_det_int(bordered), tau)
 
 
 @_graph_cache

@@ -282,6 +282,37 @@ def test_sweeps_refuse_bad_input(sweep, m, error):
         sweep(m)
 
 
+class CountedRow(list):
+    """A matrix row that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    "kernel", [xa.det_series, orc.charpoly_exact, xa.leading_minors, xa.deleted_minors]
+)
+@pytest.mark.parametrize(
+    "m",
+    [
+        # a ring: the corners couple the first and the last row
+        [
+            [3 if i == j else -1 if (i - j) % 6 in (1, 5) else 0 for j in range(6)]
+            for i in range(6)
+        ],
+        [[0, 1, 0], [1, 0, 1], [0, 1, 0]],  # a zero first pivot
+    ],
+    ids=["ring", "zero-pivot"],
+)
+def test_exact_kernels_iterate_each_row_once(kernel, m):
+    rows = [CountedRow(row) for row in m]
+    assert kernel(rows) == kernel(m)
+    assert [row.iterations for row in rows] == [1] * len(m)
+
+
 def test_rational_kernels_accept_numpy_integers():
     m = np.array([[2, -1], [-1, 2]], dtype=np.int64)
     assert orc.charpoly_exact(m) == [3, -4, 1]

@@ -160,7 +160,8 @@ def test_kemeny_pencil_matches_walk_charpoly():
 
 def test_rcm_bandwidth():
     def bandwidth(rows):
-        pos = {v: k for k, v in enumerate(xa.reverse_cuthill_mckee(rows))}
+        pattern = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        pos = {v: k for k, v in enumerate(xa.reverse_cuthill_mckee(pattern))}
         return max(
             abs(pos[i] - pos[j])
             for i, row in enumerate(rows)
@@ -222,6 +223,32 @@ def test_oracles_accept_list_edges():
     # r = 1, 1, 2 with degree products 2, 2, 1
     assert orc.dk_oracle(path) == 6
     assert orc.kemeny_oracle(path) == orc.kemeny_oracle((3, ((0, 1), (1, 2))))
+
+
+@pytest.mark.parametrize(
+    "edges", [list, tuple, lambda e: (x for x in e)], ids=["list", "tuple", "generator"]
+)
+def test_every_graph_function_reads_its_edges_once(edges):
+    # a one-shot iterable of edges must give the answers of a list
+    def triangle():
+        return 3, edges([(0, 1), (1, 2), (0, 2)])
+
+    assert lap.combinatorial_laplacian(triangle()) == [
+        [2, -1, -1],
+        [-1, 2, -1],
+        [-1, -1, 2],
+    ]
+    assert [row[i] for i, row in enumerate(lap.normalized_laplacian(triangle()))] == [
+        1.0
+    ] * 3
+    assert gg.adjacency_lists(triangle()) == ((1, 2), (0, 2), (0, 1))
+    assert gg.vertex_degrees(triangle()) == (2, 2, 2)
+    assert gg.is_connected(triangle())
+    assert not gg.is_bipartite(triangle())[0]
+    # walk eigenvalues 0, 3/2, 3/2; every resistance is 2/3
+    assert orc.kemeny_oracle(triangle()) == F(4, 3)
+    assert orc.dk_oracle(triangle()) == 3 * 4 * F(2, 3)
+    assert orc.spanning_trees_oracle(triangle()) == 3
 
 
 def test_octagon_resistances():
