@@ -15,11 +15,13 @@ fraction-free elimination (Bareiss) on integer rows, so intermediate values
 stay integral; rational matrices are first cleared to integers row by row.
 :func:`det_series`, a banded forward elimination over truncated power
 series, gives every determinant and the lowest coefficients of
-det(R + z*diag(shift)) that characteristic polynomials are read from.  The
-minors of a rational matrix come from sweeps over its band with
-``Fraction`` windows, not from one determinant each: :func:`leading_minors`
-is one forward elimination, and :func:`deleted_minors` joins a forward and
-a backward one by a twisted factorization.
+det(R + z*diag(shift)) that characteristic polynomials are read from; its
+core also carries one right-hand column through the pass for the
+resistance oracle.  The minors of a rational matrix come from sweeps over
+its band with ``Fraction`` windows, not from one determinant each:
+:func:`leading_minors` is one forward elimination, and
+:func:`deleted_minors` joins a forward and a backward one by a twisted
+factorization.
 """
 
 from __future__ import annotations
@@ -100,14 +102,16 @@ def _read_rows(m: Sequence[Sequence], entry) -> list[dict]:
     return rows
 
 
-def _cleared_rows(rows: list[dict[int, Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Dense integer rows of sparse rational rows, each row multiplied by its
-    denominator lcm, and those row scales."""
+def _cleared_rows(
+    rows: list[dict[int, Fraction]],
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Sparse rational rows as sparse integer rows, each row multiplied by
+    its denominator lcm, and those row scales."""
     scales = [math.lcm(*(x.denominator for x in row.values())) for row in rows]
-    cleared = [[0] * len(rows) for _ in rows]
-    for dense, row, scale in zip(cleared, rows, scales):
-        for j, x in row.items():
-            dense[j] = x.numerator * (scale // x.denominator)
+    cleared = [
+        {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+        for row, scale in zip(rows, scales)
+    ]
     return cleared, scales
 
 
@@ -144,14 +148,30 @@ def reverse_cuthill_mckee(rows: Sequence[Mapping[int, object]]) -> list[int]:
 
 def _series_cross(p, x, f, y, prev, t: int) -> list[int]:
     """(p*x - f*y) / prev in Z[z]/(z**t); the quotient is known to be integral
-    and prev[0] != 0, so each coefficient divides exactly."""
-    if t == 1:  # a plain determinant; skips the series loop (about 2x faster)
-        return [(p[0] * x[0] - f[0] * y[0]) // prev[0]]
-    q = []
-    for k in range(t):
+    and prev[0] != 0, so each coefficient divides exactly.
+
+    t = 1, 2 and 3, the determinants, the Kemeny and dk pencils and the
+    truncated charpolys, have straight-line bodies; longer series (whole
+    characteristic polynomials) take the general loop.  After a z-factor a
+    stored series can hold more than t coefficients, so each operand is
+    indexed, never unpacked.
+    """
+    v = prev[0]
+    q0 = (p[0] * x[0] - f[0] * y[0]) // v
+    if t == 1:
+        return [q0]
+    q1 = (p[0] * x[1] + p[1] * x[0] - f[0] * y[1] - f[1] * y[0] - q0 * prev[1]) // v
+    if t == 2:
+        return [q0, q1]
+    if t == 3:
+        acc = p[0] * x[2] + p[1] * x[1] + p[2] * x[0]
+        acc -= f[0] * y[2] + f[1] * y[1] + f[2] * y[0] + q0 * prev[2] + q1 * prev[1]
+        return [q0, q1, acc // v]
+    q = [q0, q1]
+    for k in range(2, t):
         acc = sum(p[i] * x[k - i] - f[i] * y[k - i] for i in range(k + 1))
         acc -= sum(q[i] * prev[k - i] for i in range(k))
-        q.append(acc // prev[0])
+        q.append(acc // v)
     return q
 
 
@@ -170,34 +190,57 @@ def det_series(
 ) -> list[int]:
     """The lowest `terms` coefficients of det(R + z*diag(shift)), ascending.
 
-    Forward fraction-free elimination (Bareiss 1968) over Z[z]/(z**terms)
-    on the sparse rows of R in reverse Cuthill-McKee order, so a banded
-    matrix costs O(order * bandwidth**2) series operations.  Each step
-    touches only the rows with an entry in the pivot column; a row left out
-    of a step would just be multiplied by p_k / p_(k-1), so that scaling is
-    applied lazily, by p_now / p_then, when the row next enters the band.
-    The pivot is the first row whose entry has a nonzero constant term, so
-    every division is exact integer division from the constant term.  If no
-    such row exists, the remaining column of the Schur complement is
-    divisible by z: that z is factored out of the determinant and the
-    elimination continues with one term fewer.  A singular R therefore
-    gives ``[0]`` at ``terms=1``.
+    The integer rows are read once into sparse rows and handed to the banded
+    series elimination :func:`_eliminate`.  A singular R gives ``[0]`` at
+    ``terms=1``.
     """
     a = _read_rows(rows, operator.index)
-    n = len(a)
-    shift = [0] * n if shift is None else [operator.index(s) for s in shift]
-    if len(shift) != n:
+    shift = [0] * len(a) if shift is None else [operator.index(s) for s in shift]
+    if len(shift) != len(a):
         raise ValueError("shift must have one entry per row")
+    return _eliminate(a, shift, terms)[0]
+
+
+def _eliminate(
+    a: list[dict[int, int]],
+    shift: list[int],
+    terms: int,
+    carry: list[int] | None = None,
+) -> tuple[list[int], list[int], list[list[int]], list[list[int]]]:
+    """Forward fraction-free elimination (Bareiss 1968) of R + z*diag(shift)
+    over Z[z]/(z**terms), with R given as sparse integer rows `a`.
+
+    The rows are taken in reverse Cuthill-McKee order, so a banded matrix
+    costs O(order * bandwidth**2) series operations.  Each step touches only
+    the rows with an entry in the pivot column; a row left out of a step
+    would just be multiplied by p_k / p_(k-1), so that scaling is applied
+    lazily, by p_now / p_then, when the row next enters the band.  The pivot
+    is the first row whose entry has a nonzero constant term, so every
+    division is exact integer division from the constant term.  If no such
+    row exists, the remaining column of the Schur complement is divisible by
+    z: that z is factored out of the determinant and the elimination
+    continues with one term fewer.
+
+    `carry`, one integer per row, rides along as an extra right-hand column:
+    it is eliminated like every other column, but never pivots and is left
+    out of the order.  Returns the determinant's coefficients, ascending;
+    the row, in the permuted order, that pivots each step; the pivots, with
+    pivots[0] = 1 before the first step; and the carried column's entry in
+    each pivot row as it pivots.
+    """
     if terms < 1:
         raise ValueError("terms must be positive")
+    n = len(a)
     order = reverse_cuthill_mckee(a)
     place = {old: new for new, old in enumerate(order)}
     zero = (0,) * terms
-    band, cols = [], [set() for _ in range(n)]
+    band, cols = [], [set() for _ in range(n + 1)]  # column n is the carry
     for new_i, i in enumerate(order):
         row = {place[j]: [x, *zero[1:]] for j, x in a[i].items()}
         if shift[i] and terms > 1:
             row.setdefault(new_i, list(zero))[1] = shift[i]
+        if carry is not None and carry[i]:
+            row[n] = [carry[i], *zero[1:]]
         for j in row:
             cols[j].add(new_i)
         band.append(row)
@@ -206,6 +249,7 @@ def det_series(
     pivots = [[1, *zero[1:]]]  # pivots[s + 1] is the pivot of step s
     scale = [0] * n  # row i is stored at scale pivots[scale[i]]
     chosen = []  # chosen[k] is the row that pivots step k
+    carried = []  # carried[k] is the carry entry of that row at step k
     for k in range(n):
         prev, cand = pivots[-1], sorted(cols[k])
         for i in cand:
@@ -217,7 +261,7 @@ def det_series(
         while (r := next((i for i in cand if band[i][k][0]), None)) is None:
             t, z_power = t - 1, z_power + 1
             if t == 0:
-                return [0] * terms
+                return [0] * terms, chosen, pivots, carried
             for i in cand:
                 band[i][k] = band[i][k][1:]
         pivot_row = band[r]
@@ -236,8 +280,9 @@ def det_series(
                 scale[i] = len(pivots)
         pivots.append(p)
         chosen.append(r)
+        carried.append(pivot_row.get(n, zero))
     sign = _permutation_sign(chosen)
-    return [0] * z_power + [sign * c for c in pivots[-1][:t]]
+    return [0] * z_power + [sign * c for c in pivots[-1][:t]], chosen, pivots, carried
 
 
 def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
@@ -301,7 +346,7 @@ def _minors_per_set(rows: list[dict[int, Fraction]], index_sets) -> list[Fractio
     cleared, scales = _cleared_rows(rows)
     return [
         Fraction(
-            bareiss_det_int([[cleared[i][j] for j in keep] for i in keep]),
+            bareiss_det_int([[cleared[i].get(j, 0) for j in keep] for i in keep]),
             math.prod(scales[i] for i in keep),
         )
         for keep in index_sets

@@ -3,10 +3,11 @@
 Nothing in this module knows the chain formulas: eigenvalues come from
 LAPACK's symmetric solver through ``numpy.linalg.eigvalsh`` (the one float
 routine, and the only one that loads numpy), characteristic polynomials
-(whole, or only their lowest coefficients), Kemeny's constant and the
-degree-weighted resistance sum from banded elimination over truncated power
-series, and tree counts from an exact cofactor.  Any graph can be passed
-in, either a :class:`~octachain.graph_gen.ChainGraph` or a plain
+(whole, or only their lowest coefficients) and Kemeny's constant from
+banded elimination over truncated power series, the degree-weighted
+resistance sum from one such pass that carries the degrees along as an
+extra column, and tree counts from an exact cofactor.  Any graph can be
+passed in, either a :class:`~octachain.graph_gen.ChainGraph` or a plain
 ``(vertex_count, edges)`` pair, which keeps the oracles honest: they are
 exercised on tiny hand-checkable graphs in the tests before being pointed
 at the chains.
@@ -15,10 +16,11 @@ at the chains.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .exact_algebra import _as_fraction, _cleared_rows, _read_rows
+from .exact_algebra import _as_fraction, _cleared_rows, _eliminate, _read_rows
 from .exact_algebra import bareiss_det_int, det_series
 from .graph_gen import _graph_data, is_connected, vertex_degrees
 from .laplacian import combinatorial_laplacian
@@ -69,13 +71,14 @@ def charpoly_exact(m, terms: int | None = None) -> list[Fraction]:
 
     With S the diagonal of row scales that clears M to integers,
     det(zI - M) = (-1)^N det(SM - zS) / det(S); the integer pencil is
-    expanded by :func:`~octachain.exact_algebra.det_series`, the banded
-    elimination over truncated power series.
+    expanded by the banded elimination over truncated power series behind
+    :func:`~octachain.exact_algebra.det_series`, straight from the sparse
+    cleared rows.
     """
     rows, scales = _cleared_rows(_read_rows(m, _as_fraction))
     if terms is None:
         terms = len(rows) + 1
-    coeffs = det_series(rows, [-s for s in scales], terms)
+    coeffs = _eliminate(rows, [-s for s in scales], terms)[0]
     total = (-1) ** len(rows) * math.prod(scales)
     return [F(c, total) for c in coeffs]
 
@@ -139,20 +142,32 @@ def dk_oracle(g) -> Fraction:
 
     With G the inverse of the Laplacian grounded at vertex 0 (padded with
     zeros there) and r_ij = G_ii + G_jj - 2 G_ij, the sum is
-    2|E| * sum_i d_i G_ii - d^T G d.  Both terms come from two banded
-    determinants over the grounded Laplacian L0 and the degrees d0 of the
-    other vertices: det(L0 + z*diag(d0)) = tau + z * tau * tr(diag(d0) G),
-    and the bordered matrix [[L0, d0], [d0^T, 0]] has determinant
-    -tau * d0^T G d0, where tau = det(L0) is the spanning tree count.
+    2|E| * sum_i d_i G_ii - d^T G d.  Both terms come from one banded pass
+    over the grounded Laplacian L0 and the degrees d0 of the other
+    vertices.  The pencil gives det(L0 + z*diag(d0)) = tau + z * tau *
+    tr(diag(d0) G), where tau = det(L0) is the spanning tree count.  d0
+    rides along as a carried column, never pivoted: with p_k the pivots
+    (p_0 = 1) and y_k the carried entry of the pivot row of step k, the
+    fraction-free LDL^T identity (Bareiss 1968; Golub & Van Loan, Matrix
+    Computations, 4.1) gives d0^T G d0 = sum_k y_k**2 / (p_(k-1) p_k).
+    The identity needs the diagonal pivots and no z-factor; both hold, as
+    every principal minor of L0 is positive for a connected graph.
     """
     g = _graph_data(g)
     if not is_connected(g):
         raise DisconnectedGraph("resistances need a connected graph")
-    grounded = [row[1:] for row in combinatorial_laplacian(g)[1:]]
+    lap = combinatorial_laplacian(g)
+    grounded = _read_rows([row[1:] for row in lap[1:]], operator.index)
     degrees = list(vertex_degrees(g)[1:])
-    tau, trace = det_series(grounded, degrees, 2)
-    bordered = [row + [d] for row, d in zip(grounded, degrees)] + [degrees + [0]]
-    return F(2 * len(g.edges) * trace + bareiss_det_int(bordered), tau)
+    (tau, trace), chosen, pivots, carried = _eliminate(grounded, degrees, 2, degrees)
+    if not tau or chosen != list(range(len(grounded))):
+        raise ArithmeticError("the grounded Laplacian lost a diagonal pivot")
+    # quad = p_k * (the sum up to step k), an integer: y^T adj(L_k) y on the
+    # leading block L_k, so each step divides exactly
+    quad = 0
+    for prev, p, y in zip(pivots, pivots[1:], carried):
+        quad = (quad * p[0] + y[0] ** 2) // prev[0]
+    return F(2 * len(g.edges) * trace - quad, tau)
 
 
 @_graph_cache

@@ -4,6 +4,10 @@
 printed (two decimal places).  Only the n = 1 entry agrees with the closed
 form and with both independent oracles; every later row diverges, so those
 comparisons are reported as informational rather than treated as failures.
+The divergence is explained: every printed row, n = 1..30, is the value of
+14*n*sum(1/alpha) + 14*xi rounded half-even, while the true index is
+14*n*(sum(1/alpha) + xi).  The table multiplies xi by 14 where the formula
+needs 14n, and the two agree only at n = 1.
 
 ``PUBLISHED_TREES_RAW`` holds the printed spanning-tree counts verbatim.
 Several rows have garbled digit grouping (commas in impossible places); the

@@ -214,6 +214,9 @@ def _lambda_max_bipartite(c: _Chain) -> dict:
     }
 
 
+# Every printed dk row rounds from 14n * sum(1/alpha) + 14 xi, not from the
+# true index 14n * (sum(1/alpha) + xi); the two agree only at n = 1, so the
+# later rows are informational (tests/test_reference_data.py pins both).
 def _published_dk(c: _Chain) -> dict | None:
     if c.n not in ref.PUBLISHED_DK:
         return None

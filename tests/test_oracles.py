@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from octachain import closed_forms as cf
 from octachain import exact_algebra as xa
@@ -135,8 +135,31 @@ sparse_5x5 = st.lists(
 )
 
 
+# singular pencils: a z is factored out mid-elimination, after which the
+# stored series hold more coefficients than the shorter ones still computed
+_NULLITY_1 = [
+    [1, 1, 0, 0, 0],
+    [1, 1, 0, 0, 0],
+    [0, 0, 2, 1, 0],
+    [0, 0, 1, 2, 0],
+    [0, 0, 0, 0, 3],
+]
+_NULLITY_3 = [
+    [1, 2, 0, 0, 0],
+    [2, 4, 0, 0, 0],
+    [0, 0, 1, 1, 0],
+    [0, 0, 1, 1, 0],
+    [0, 0, 0, 0, 0],
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(sparse_5x5, st.integers(min_value=1, max_value=7))
+@example(_NULLITY_1, 2)
+@example(_NULLITY_1, 3)
+@example(_NULLITY_1, 4)
+@example(_NULLITY_3, 2)
+@example(_NULLITY_3, 3)
 def test_truncated_charpoly_is_a_prefix(rows, terms):
     full = orc.charpoly_exact(rows)
     assert orc.charpoly_exact(rows, terms=terms) == (full + [0] * terms)[:terms]
@@ -181,6 +204,21 @@ def test_oracles_beyond_dense_reach():
     assert orc.kemeny_oracle(g) == cf.kemeny(40)
     assert orc.spanning_trees_oracle(g) == cf.spanning_trees(40)
     assert orc.dk_oracle(g) == cf.dk_index(40)
+    # 1599 grounded rows; the degrees ride along as a column, not a border
+    # row that would widen the band to the whole matrix
+    assert orc.dk_oracle(gg.build_moebius_octagonal(200)) == cf.dk_index(200)
+
+
+def test_dk_oracle_guards_its_diagonal_pivots(monkeypatch):
+    eliminate = orc._eliminate
+
+    def swapped(*args):
+        coeffs, chosen, pivots, carried = eliminate(*args)
+        return coeffs, chosen[::-1], pivots, carried
+
+    monkeypatch.setattr(orc, "_eliminate", swapped)
+    with pytest.raises(ArithmeticError):
+        orc.dk_oracle(gg.build_moebius_octagonal(2))
 
 
 def test_single_vertex_kemeny_and_dk():
@@ -326,6 +364,15 @@ def test_route_independence():
     for n in range(1, 4):
         li = gg.build_linear_octagonal(n)
         assert orc.dk_oracle(li) == 2 * (7 * n + 1) * orc.kemeny_oracle(li)
+    # dk = 2|E| * Kemeny on any connected graph; pendant vertices and
+    # uneven degrees give the carried degree column irregular entries
+    rng = random.Random(23)
+    for _ in range(12):
+        order, edges = _random_connected_graph(rng, rng.randint(3, 12))
+        pendants = rng.randint(1, 3)
+        edges += tuple((rng.randrange(order), order + k) for k in range(pendants))
+        g = (order + pendants, edges)
+        assert orc.dk_oracle(g) == 2 * len(edges) * orc.kemeny_oracle(g)
 
 
 def test_spanning_trees_oracle():
