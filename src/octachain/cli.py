@@ -28,7 +28,7 @@ from . import laplacian as lap
 from . import oracles as orc
 from . import reference_data as ref
 from . import verification as ver
-from .exact_algebra import frac_to_decimal_str, frac_to_str
+from .exact_algebra import _decimal_str, frac_to_str
 
 _PUBLISHED = {"dk": ref.PUBLISHED_DK, "trees": ref.PUBLISHED_TREES}
 _PLACES = {"dk": 2, "kemeny": 6}  # decimal places of the rendered value
@@ -90,16 +90,20 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
         if args.end > last:
             parser.error(f"published {args.which} rows stop at n={last}")
 
-    values = cf.table_values(args.which, args.start, args.end)
+    from fractions import Fraction
+
+    # each dk or Kemeny row is rounded from its unreduced pair; only the json
+    # output prints the exact column, which is reduced
+    places = _PLACES.get(args.which)
     rows = []
     strict_mismatch = False
-    for n, exact in enumerate(values, args.start):
-        if args.which == "trees":
-            value = exact_text = str(exact)
+    pairs = cf.table_terms(args.which, args.start, args.end)
+    for n, (p, d) in enumerate(pairs, args.start):
+        if places is None:
+            value = exact_text = str(p)
         else:
-            value = frac_to_decimal_str(exact, _PLACES[args.which])
-            # only the json output prints the exact column
-            exact_text = frac_to_str(exact) if args.format == "json" else None
+            value = _decimal_str(p, d, places)
+            exact_text = frac_to_str(Fraction(p, d)) if args.format == "json" else None
         row = {"n": n, "exact": exact_text, "value": value}
         if args.compare_paper:
             published = str(_PUBLISHED[args.which][n])

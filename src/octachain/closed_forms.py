@@ -9,10 +9,13 @@ done here.  The verification layer compares each formula with an oracle that
 recomputes it from the graph.
 
 The per-n functions power the unit once per call.  A run of consecutive n
-is served by :func:`table_values`, which powers it once for the first row
+is served by :func:`table_terms`, which powers it once for the first row
 and steps (t_n, u_n) to each next row with one multiplication by the unit
 (:func:`~octachain.exact_algebra.unit_powers`); both evaluate the same
-formulas on (n, t_n, u_n).
+formulas on (n, t_n, u_n).  The formulas give unreduced (numerator,
+denominator) pairs: the per-n functions and :func:`table_values` reduce
+them to Fractions, while a table row that is only rounded to a few places
+reads the pair as it is and takes no gcd.
 
 Quantities provided (for the closed chain with parameter n):
 
@@ -21,7 +24,8 @@ Quantities provided (for the closed chain with parameter n):
 * ``kemeny`` and ``dk_index`` -- Kemeny's constant and the degree-weighted
   resistance (degree-Kirchhoff) index, related by dk = 14 n * kemeny;
 * ``spanning_trees`` -- the spanning tree count 3n (t_n + 2) / 2;
-* ``table_values`` -- dk, Kemeny or tree-count rows for n = start..end;
+* ``table_terms`` / ``table_values`` -- dk, Kemeny or tree-count rows for
+  n = start..end, streamed as unreduced pairs or listed as values;
 * minor ladders ``w_minor`` / ``q_minor``, both read from a table of
   (a, b) by phase and j mod 3 at k = floor(j / 3): w_j = (a + b k) / 12**k
   (the double root 1/12 of the sum-block sections) and
@@ -131,66 +135,78 @@ def xi(n: int) -> Fraction:
     """Sum of reciprocals of the difference-block eigenvalues,
     37 n u_n / (2 (t_n + 2))."""
     _require_positive(n)
-    return _xi(n, *unit_power(n))
+    t, u = unit_power(n)
+    return F(37 * n * u, 2 * (t + 2))
 
 
 def kemeny(n: int) -> Fraction:
     """Kemeny's constant of the random walk on the closed chain."""
     _require_positive(n)
-    return _kemeny(n, *unit_power(n))
+    return F(*_kemeny_terms(n, *unit_power(n)))
 
 
 def dk_index(n: int) -> Fraction:
     """Degree-weighted resistance index sum d_i d_j r_ij over vertex pairs."""
     _require_positive(n)
-    return _dk_index(n, *unit_power(n))
+    return F(*_dk_terms(n, *unit_power(n)))
 
 
 def spanning_trees(n: int) -> int:
     """Number of spanning trees, 3n (t_n + 2) / 2 (t_n is even)."""
     _require_positive(n)
-    return _spanning_trees(n, *unit_power(n))
+    return _tree_terms(n, *unit_power(n))[0]
 
 
 # the formulas on (n, t_n, u_n), shared by the per-n functions above and by
-# the stepped rows of table_values
-
-
-def _xi(n: int, t: int, u: int) -> Fraction:
-    return F(37 * n * u, 2 * (t + 2))
+# the stepped rows of table_terms; each gives an unreduced pair
+# (numerator, denominator > 0), so a row that is only rounded takes no gcd
 
 
 # sum_recip_alpha + xi over one denominator 84 (t + 2), 1554 = 37 * 42
-def _kemeny(n: int, t: int, u: int) -> Fraction:
-    return F((147 * n * n - 19) * (t + 2) + 1554 * n * u, 84 * (t + 2))
+def _kemeny_terms(n: int, t: int, u: int) -> tuple[int, int]:
+    return (147 * n * n - 19) * (t + 2) + 1554 * n * u, 84 * (t + 2)
 
 
-def _dk_index(n: int, t: int, u: int) -> Fraction:
-    return F(n * ((147 * n * n - 19) * (t + 2) + 1554 * n * u), 6 * (t + 2))
+# dk = 14 n * kemeny
+def _dk_terms(n: int, t: int, u: int) -> tuple[int, int]:
+    p, d = _kemeny_terms(n, t, u)
+    return 14 * n * p, d
 
 
-def _spanning_trees(n: int, t: int, u: int) -> int:
-    return 3 * n * (t + 2) // 2
+def _tree_terms(n: int, t: int, u: int) -> tuple[int, int]:
+    return 3 * n * (t + 2) // 2, 1
 
 
-_TABLES = {"dk": _dk_index, "kemeny": _kemeny, "trees": _spanning_trees}
+_TABLES = {"dk": _dk_terms, "kemeny": _kemeny_terms, "trees": _tree_terms}
 
 
-def table_values(which: str, start: int, end: int) -> list:
-    """The values of ``dk_index``, ``kemeny`` or ``spanning_trees`` (`which`
-    is "dk", "kemeny" or "trees") for n = start..end, in order.
+def table_terms(which: str, start: int, end: int):
+    """Unreduced pairs (p, d), d > 0, with p / d the value of ``dk_index``,
+    ``kemeny`` or ``spanning_trees`` (`which` is "dk", "kemeny" or "trees";
+    d is 1 for trees) for n = start..end, in order, one pair at a time.
 
     The unit is powered once, for `start`; each later row steps (t_n, u_n)
     by one multiplication along :func:`~octachain.exact_algebra.unit_powers`.
+    A bad `which` or `start` raises here, not at the first ``next()``.
     """
     if which not in _TABLES:
         raise ValueError(f"no table {which!r}")
     _require_positive(start)
-    formula = _TABLES[which]
-    return [
-        formula(n, t, u)
+    terms = _TABLES[which]
+    return (
+        terms(n, t, u)
         for n, (t, u) in zip(range(start, end + 1), unit_powers(start))
-    ]
+    )
+
+
+def table_values(which: str, start: int, end: int) -> list:
+    """The values of ``dk_index``, ``kemeny`` or ``spanning_trees`` for
+    n = start..end, in order: the pairs of :func:`table_terms`, as reduced
+    Fractions for dk and Kemeny and as ints for trees."""
+    pairs = table_terms(which, start, end)
+    if which == "trees":
+        return [p for p, _ in pairs]
+    return [F(p, d) for p, d in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +284,16 @@ class SpectralSummary:
 
 
 def spectral_summary(n: int) -> SpectralSummary:
-    """Every index for one n, from one power of the unit and one xi(n):
-    kemeny and dk are derived from it as in :func:`kemeny` and
-    :func:`dk_index`."""
+    """Every index for one n, from one power of the unit: Kemeny's constant
+    as in :func:`kemeny`, with xi(n) and dk read from it."""
     _require_positive(n)
     t, u = unit_power(n)
-    alpha, rho = sum_recip_alpha(n), _xi(n, t, u)
-    k = alpha + rho
+    alpha, k = sum_recip_alpha(n), F(*_kemeny_terms(n, t, u))
     return SpectralSummary(
         n=n,
         sum_recip_alpha=alpha,
-        sum_recip_rho=rho,
+        sum_recip_rho=k - alpha,
         dk=14 * n * k,
         kemeny=k,
-        tau=_spanning_trees(n, t, u),
+        tau=_tree_terms(n, t, u)[0],
     )

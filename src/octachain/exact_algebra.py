@@ -452,12 +452,20 @@ def frac_to_decimal_str(q: Fraction, places: int) -> str:
 
     Rounding is done on exact integer arithmetic so ties are decided
     correctly no matter how long the repeating expansion is, and the digits
-    are rendered by :func:`int_to_str`, so any rational is accepted.
+    are rendered by :func:`int_to_str`, so any rational is accepted.  The
+    work is :func:`_decimal_str` on the numerator and denominator.
     """
     q = _as_fraction(q)
+    return _decimal_str(q.numerator, q.denominator, places)
+
+
+def _decimal_str(p: int, d: int, places: int) -> str:
+    """:func:`frac_to_decimal_str` of p / d for integers p and d > 0, the
+    pair reduced or not: a common factor scales both the remainder of
+    |p| * 10**places by d and d itself, so the digits and the half-even tie
+    test are the same, and no gcd is taken."""
     if places < 0:
         raise ValueError("places must be non-negative")
-    p, d = q.numerator, q.denominator
     whole, remainder = divmod(abs(p) * 10**places, d)
     doubled = 2 * remainder
     if doubled > d or (doubled == d and whole % 2 == 1):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,7 +108,7 @@ def test_table_trees_compare_all_match(capsys):
 
 
 def test_table_trees_mutation_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cf, "table_values", lambda which, start, end: [7, 7])
+    monkeypatch.setattr(cf, "table_terms", lambda which, start, end: [(7, 1), (7, 1)])
     code = run_cli(["table", "trees", "--from", "1", "--to", "2", "--compare-paper"])
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
@@ -142,19 +143,37 @@ def _reference_table(which, start, end, fmt, compare):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
-    "which, end, compare",
+    "which, start, end, compare",
     [
-        ("dk", 300, False),
-        ("kemeny", 300, False),
-        ("trees", 300, False),
-        ("dk", 30, True),
-        ("trees", 12, True),
+        pytest.param("dk", 1, 300, False, id="dk-300-False"),
+        pytest.param("kemeny", 1, 300, False, id="kemeny-300-False"),
+        pytest.param("trees", 1, 300, False, id="trees-300-False"),
+        pytest.param("dk", 1, 30, True, id="dk-30-True"),
+        pytest.param("trees", 1, 12, True, id="trees-12-True"),
+        pytest.param("dk", 2990, 3000, False, id="dk-2990-3000-False"),
+        pytest.param("kemeny", 2990, 3000, False, id="kemeny-2990-3000-False"),
     ],
 )
-def test_table_matches_per_n_rendering(capsys, which, end, compare, fmt):
-    argv = ["table", which, "--to", str(end), "--format", fmt]
+def test_table_matches_per_n_rendering(capsys, which, start, end, compare, fmt):
+    argv = ["table", which, "--from", str(start), "--to", str(end), "--format", fmt]
     assert run_cli(argv + (["--compare-paper"] if compare else [])) == 0
-    assert capsys.readouterr().out == _reference_table(which, 1, end, fmt, compare)
+    assert capsys.readouterr().out == _reference_table(which, start, end, fmt, compare)
+
+
+@pytest.mark.parametrize("which", ["dk", "kemeny"])
+def test_table_csv_rounds_without_a_gcd(capsys, monkeypatch, which):
+    # Fraction reduces through math.gcd: the CSV rows are rounded from the
+    # unreduced pairs, while the json exact column is still reduced
+    want = _reference_table(which, 1, 50, "csv", False)
+
+    def no_gcd(*args):
+        raise AssertionError("math.gcd called")
+
+    monkeypatch.setattr(math, "gcd", no_gcd)
+    assert run_cli(["table", which, "--to", "50"]) == 0
+    assert capsys.readouterr().out == want
+    with pytest.raises(AssertionError, match="math.gcd called"):
+        run_cli(["table", which, "--to", "50", "--format", "json"])
 
 
 def test_table_kemeny_json(capsys):

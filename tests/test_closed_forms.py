@@ -253,6 +253,16 @@ def test_table_values_rejects_bad_requests():
     assert cf.table_values("trees", 5, 4) == []
 
 
+def test_table_terms_check_their_request_before_the_first_row():
+    # no next(): the generator is only created
+    with pytest.raises(ValueError):
+        cf.table_terms("xi", 1, 3)
+    with pytest.raises(ValueError):
+        cf.table_terms("dk", 0, 3)
+    assert list(cf.table_terms("trees", 5, 4)) == []
+    assert list(cf.table_terms("trees", 1, 2)) == [(15, 1), (192, 1)]
+
+
 def test_spectral_summary_values():
     s = cf.spectral_summary(1)
     assert s.n == 1

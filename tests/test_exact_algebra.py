@@ -375,3 +375,25 @@ def test_decimal_rendering_matches_fraction_rounding(case):
 def test_decimal_rendering_past_the_digit_limit():
     assert xa.frac_to_decimal_str(F(10**5000), 0) == "1" + "0" * 5000
     assert xa.frac_to_decimal_str(F(-(10**5000), 3), 1) == "-3" + "3" * 4999 + ".3"
+
+
+six_places = st.integers(min_value=0, max_value=6)
+# (p, d, places); the second family holds the exact half-unit ties
+# p / d = (2m + 1) / (2 * 10**places), negative ones included
+pairs_st = st.one_of(
+    st.tuples(st.integers(-(10**30), 10**30), st.integers(1, 10**12), six_places),
+    six_places.flatmap(
+        lambda places: st.tuples(
+            st.integers(-(10**6), 10**6).map(lambda m: 2 * m + 1),
+            st.just(2 * 10**places),
+            st.just(places),
+        )
+    ),
+)
+
+
+@given(pairs_st, st.integers(min_value=1, max_value=10**20))
+def test_decimal_rendering_of_unreduced_pairs(case, k):
+    p, d, places = case
+    want = xa.frac_to_decimal_str(F(p, d), places)
+    assert xa._decimal_str(k * p, k * d, places) == want
