@@ -25,47 +25,28 @@ import sys
 from pathlib import Path
 
 from octachain import reference_data as ref
-from octachain.closed_forms import table_values
-from octachain.exact_algebra import frac_to_decimal_str, frac_to_str
 from octachain.verification import report_to_json, run_verification
 
 DK_RANGE = range(1, 31)
 TREE_RANGE = range(1, 13)
 
 
-def write_dk_table(path: Path) -> int:
-    """Write the dk table; return how many published figures disagree."""
+def write_table(path: Path, which: str, span: range, header: list[str]) -> int:
+    """Write the rows n in `span` of the `which` table, each compared with
+    its published figure; return how many disagree."""
     mismatches = 0
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "exact", "rounded", "published", "match"])
-        values = table_values("dk", DK_RANGE[0], DK_RANGE[-1])
-        for n, value in zip(DK_RANGE, values):
-            rounded = frac_to_decimal_str(value, 2)
-            published = ref.PUBLISHED_DK[n]
-            match = rounded == published
-            if not match:
-                mismatches += 1
-            writer.writerow(
-                [n, frac_to_str(value), rounded, published, "yes" if match else "no"]
-            )
-    return mismatches
-
-
-def write_tree_table(path: Path) -> int:
-    """Write the spanning-tree table; return how many rows disagree."""
-    mismatches = 0
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "computed", "published", "match", "note"])
-        values = table_values("trees", TREE_RANGE[0], TREE_RANGE[-1])
-        for n, value in zip(TREE_RANGE, values):
-            published = ref.PUBLISHED_TREES[n]
-            match = value == published
-            if not match:
-                mismatches += 1
-            note = ref.TREE_NORMALIZATION_NOTES.get(n, "")
-            writer.writerow([n, value, published, "yes" if match else "no", note])
+        writer.writerow(header)
+        for row in ref.table_rows(which, span[0], span[-1], compare=True, exact=True):
+            mismatches += not row["match"]
+            match = "yes" if row["match"] else "no"
+            if which == "dk":
+                cells = [row["n"], row["exact"], row["value"], row["published"], match]
+            else:
+                note = ref.TREE_NORMALIZATION_NOTES.get(row["n"], "")
+                cells = [row["n"], row["value"], row["published"], match, note]
+            writer.writerow(cells)
     return mismatches
 
 
@@ -96,14 +77,18 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--out-dir: cannot create {args.out_dir}: {exc.strerror}")
 
     dk_path = args.out_dir / "dk_table.csv"
-    dk_mismatches = write_dk_table(dk_path)
+    dk_mismatches = write_table(
+        dk_path, "dk", DK_RANGE, ["n", "exact", "rounded", "published", "match"]
+    )
     print(
         f"wrote {dk_path}: {len(DK_RANGE)} rows, {dk_mismatches} published figures "
         "disagree (expected for n >= 2; informational only)"
     )
 
     tree_path = args.out_dir / "tree_table.csv"
-    tree_mismatches = write_tree_table(tree_path)
+    tree_mismatches = write_table(
+        tree_path, "trees", TREE_RANGE, ["n", "computed", "published", "match", "note"]
+    )
     print(f"wrote {tree_path}: {len(TREE_RANGE)} rows, {tree_mismatches} mismatches")
 
     report = run_verification(args.n_max)

@@ -22,16 +22,11 @@ import contextlib
 import json
 import sys
 
-from . import closed_forms as cf
 from . import graph_gen as gg
 from . import laplacian as lap
 from . import oracles as orc
 from . import reference_data as ref
 from . import verification as ver
-from .exact_algebra import _decimal_str, frac_to_str
-
-_PUBLISHED = {"dk": ref.PUBLISHED_DK, "trees": ref.PUBLISHED_TREES}
-_PLACES = {"dk": 2, "kemeny": 6}  # decimal places of the rendered value
 
 
 def positive_int(text: str) -> int:
@@ -83,50 +78,31 @@ def _cmd_spectrum(args) -> int:
 def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
     if args.end < args.start:
         parser.error("--to must not be smaller than --from")
-    if args.compare_paper:
-        if args.which not in _PUBLISHED:
-            parser.error(f"no published rows exist for {args.which!r}")
-        last = max(_PUBLISHED[args.which])
-        if args.end > last:
-            parser.error(f"published {args.which} rows stop at n={last}")
+    as_json, compare = args.format == "json", args.compare_paper
+    try:
+        rows = ref.table_rows(args.which, args.start, args.end, compare, as_json)
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    from fractions import Fraction
+    out = []  # the rows for json; for csv only their lines
+    mismatch = False
+    for row in rows:
+        mismatch |= compare and not row["match"]
+        if as_json:
+            out.append(row)
+            continue
+        line = f"{row['n']},{row['value']}"
+        if compare:
+            line += f",{row['published']},{'yes' if row['match'] else 'no'}"
+        out.append(line)
 
-    # each dk or Kemeny row is rounded from its unreduced pair; only the json
-    # output prints the exact column, which is reduced
-    places = _PLACES.get(args.which)
-    rows = []
-    strict_mismatch = False
-    pairs = cf.table_terms(args.which, args.start, args.end)
-    for n, (p, d) in enumerate(pairs, args.start):
-        if places is None:
-            value = exact_text = str(p)
-        else:
-            value = _decimal_str(p, d, places)
-            exact_text = frac_to_str(Fraction(p, d)) if args.format == "json" else None
-        row = {"n": n, "exact": exact_text, "value": value}
-        if args.compare_paper:
-            published = str(_PUBLISHED[args.which][n])
-            row["published"] = published
-            row["match"] = value == published
-            if not row["match"] and args.which == "trees":
-                strict_mismatch = True
-        rows.append(row)
-
-    if args.format == "csv":
-        header = f"n,{args.which}"
-        if args.compare_paper:
-            header += ",published,match"
-        lines = [header]
-        for row in rows:
-            line = f"{row['n']},{row['value']}"
-            if args.compare_paper:
-                line += f",{row['published']},{'yes' if row['match'] else 'no'}"
-            lines.append(line)
-        sys.stdout.write("\n".join(lines) + "\n")
+    if as_json:
+        sys.stdout.write(json.dumps({"which": args.which, "rows": out}) + "\n")
     else:
-        sys.stdout.write(json.dumps({"which": args.which, "rows": rows}) + "\n")
-    return 1 if strict_mismatch else 0
+        header = f"n,{args.which}" + (",published,match" if compare else "")
+        sys.stdout.write("\n".join([header, *out]) + "\n")
+    # dk rows are informational; a trees mismatch fails
+    return 1 if mismatch and args.which == "trees" else 0
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:

@@ -13,9 +13,9 @@ is served by :func:`table_terms`, which powers it once for the first row
 and steps (t_n, u_n) to each next row with one multiplication by the unit
 (:func:`~octachain.exact_algebra.unit_powers`); both evaluate the same
 formulas on (n, t_n, u_n).  The formulas give unreduced (numerator,
-denominator) pairs: the per-n functions and :func:`table_values` reduce
-them to Fractions, while a table row that is only rounded to a few places
-reads the pair as it is and takes no gcd.
+denominator) pairs: the per-n functions reduce them to Fractions, while
+:func:`~octachain.reference_data.table_rows` rounds a table row from the
+pair as it is and takes no gcd.
 
 Quantities provided (for the closed chain with parameter n):
 
@@ -24,8 +24,8 @@ Quantities provided (for the closed chain with parameter n):
 * ``kemeny`` and ``dk_index`` -- Kemeny's constant and the degree-weighted
   resistance (degree-Kirchhoff) index, related by dk = 14 n * kemeny;
 * ``spanning_trees`` -- the spanning tree count 3n (t_n + 2) / 2;
-* ``table_terms`` / ``table_values`` -- dk, Kemeny or tree-count rows for
-  n = start..end, streamed as unreduced pairs or listed as values;
+* ``table_terms`` -- dk, Kemeny or tree-count rows for n = start..end,
+  streamed as unreduced pairs;
 * minor ladders ``w_minor`` / ``q_minor``, both read from a table of
   (a, b) by phase and j mod 3 at k = floor(j / 3): w_j = (a + b k) / 12**k
   (the double root 1/12 of the sum-block sections) and
@@ -197,16 +197,6 @@ def table_terms(which: str, start: int, end: int):
         terms(n, t, u)
         for n, (t, u) in zip(range(start, end + 1), unit_powers(start))
     )
-
-
-def table_values(which: str, start: int, end: int) -> list:
-    """The values of ``dk_index``, ``kemeny`` or ``spanning_trees`` for
-    n = start..end, in order: the pairs of :func:`table_terms`, as reduced
-    Fractions for dk and Kemeny and as ints for trees."""
-    pairs = table_terms(which, start, end)
-    if which == "trees":
-        return [p for p, _ in pairs]
-    return [F(p, d) for p, d in pairs]
 
 
 # ---------------------------------------------------------------------------

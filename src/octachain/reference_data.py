@@ -1,4 +1,4 @@
-"""Published reference values used by `--compare-paper` and the verifier.
+"""Published reference values, and the table rows compared with them.
 
 ``PUBLISHED_DK`` holds the degree-weighted resistance index table exactly as
 printed (two decimal places).  Only the n = 1 entry agrees with the closed
@@ -16,7 +16,15 @@ normalized integers live in ``PUBLISHED_TREES`` with per-row notes in
 contain a one-digit misprint: both the closed form and the exact cofactor
 oracle give 1020809018952, while the printed digits read ...8752.  The
 normalized fixture carries the corrected value.
+
+``table_rows`` renders every dk, Kemeny and tree-count row for the ``table``
+command, the verifier and ``scripts/reproduce_tables.py``.
 """
+
+from fractions import Fraction
+
+from . import closed_forms as cf
+from . import exact_algebra as xa
 
 PUBLISHED_DK = {
     1: "73.13",
@@ -92,3 +100,38 @@ TREE_NORMALIZATION_NOTES = {
         "closed form and the exact cofactor oracle give 1020809018952"
     ),
 }
+
+
+_PLACES = {"dk": 2, "kemeny": 6}  # decimal places of a rendered value
+
+
+def table_rows(which: str, start: int, end: int, compare=False, exact=False):
+    """Rows ``{n, exact, value}`` of the dk, Kemeny or tree-count table for
+    n = start..end from the unreduced pairs of ``cf.table_terms``: a dk or
+    Kemeny value is rounded half-even with no gcd, and ``exact`` is the
+    reduced "p/q" only if `exact` is set (a tree count is its own).
+    `compare` adds the printed ``published`` text, read at call time, and
+    ``match``.  A bad request raises here, not at the first ``next()``."""
+    published = None
+    if compare:
+        published = {"dk": PUBLISHED_DK, "trees": PUBLISHED_TREES}.get(which)
+        if published is None:
+            raise ValueError(f"no published rows exist for {which!r}")
+        if end > max(published):
+            raise ValueError(f"published {which} rows stop at n={max(published)}")
+    places, pairs = _PLACES.get(which), cf.table_terms(which, start, end)
+
+    def rows():
+        for n, (p, d) in enumerate(pairs, start):
+            if places is None:
+                value = text = str(p)
+            else:
+                value = xa._decimal_str(p, d, places)
+                text = xa.frac_to_str(Fraction(p, d)) if exact else None
+            row = {"n": n, "exact": text, "value": value}
+            if published is not None:
+                row["published"] = str(published[n])
+                row["match"] = value == row["published"]
+            yield row
+
+    return rows()

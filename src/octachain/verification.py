@@ -11,13 +11,15 @@ eigenvalues, and the computed values against the published tables.
 The suite is the table ``_CHECKS`` of named checks.  Each check reads a
 per-``n`` context, ``_Chain``, whose shared artifacts (the graph, the rational
 block images of Q_n and the three lowest coefficients of their
-characteristic polynomials, the block images of Q_(n+1) whose index ranges
-are the phase sections, the bipartition, the Kemeny oracle value, the full
-spectrum) are built on first use and then reused, and returns the fields of
-its :class:`CheckResult`.  Each minor ladder is one
-:func:`~octachain.exact_algebra.leading_minors` sweep over a section, and
-each family of vertex-deleted minors one
-:func:`~octachain.exact_algebra.deleted_minors` sweep over a block image.
+characteristic polynomials, the bipartition, the Kemeny oracle value, the
+full spectrum) are built on first use and then reused, and returns the fields
+of its :class:`CheckResult`.  The phase sections of Q_n are index ranges of
+the images of Q_(n+1), read from ``next``, the context ``run_verification``
+steps to, so each image is built once.  Each minor ladder is one
+:func:`~octachain.exact_algebra.leading_minors` sweep over a section, each
+family of vertex-deleted minors one
+:func:`~octachain.exact_algebra.deleted_minors` sweep over a block image, and
+each published row one :func:`~octachain.reference_data.table_rows` row.
 Vector checks report their first three mismatches with both values.
 
 Checks against the published degree-weighted-resistance table are marked
@@ -85,10 +87,10 @@ class _Chain:
         return {f: lap.rational_block_image(self.n, f) for f in "AS"}
 
     @cached_property
-    def section(self) -> dict[str, list[list[Fraction]]]:
-        """The block images of Q_(n+1), by family: the order-j section at
-        `phase` is their index range [phase, phase + j), for j <= 3n."""
-        return {f: lap.rational_block_image(self.n + 1, f) for f in "AS"}
+    def next(self) -> "_Chain":
+        """The chain one size up: the order-j section at `phase` is the
+        index range [phase, phase + j) of its block images, for j <= 3n."""
+        return _Chain(self.n + 1)
 
     @cached_property
     def pa(self) -> list[Fraction]:
@@ -143,7 +145,7 @@ def _ladder(label: str, m: int, expected, actual) -> dict:
 
 def _leading_minors(c: _Chain, closed, family: str, phase: int) -> dict:
     window = slice(phase, phase + c.m)
-    minors = xa.leading_minors([row[window] for row in c.section[family][window]])
+    minors = xa.leading_minors([r[window] for r in c.next.image[family][window]])
     return _ladder("j", c.m, lambda j: closed(phase, j), lambda j: minors[j - 1])
 
 
@@ -214,14 +216,18 @@ def _lambda_max_bipartite(c: _Chain) -> dict:
     }
 
 
+def _published(c: _Chain, which: str) -> dict:
+    r = next(ref.table_rows(which, c.n, c.n, compare=True))
+    return {"expected": r["published"], "actual": r["value"], "passed": r["match"]}
+
+
 # Every printed dk row rounds from 14n * sum(1/alpha) + 14 xi, not from the
 # true index 14n * (sum(1/alpha) + xi); the two agree only at n = 1, so the
 # later rows are informational (tests/test_reference_data.py pins both).
 def _published_dk(c: _Chain) -> dict | None:
     if c.n not in ref.PUBLISHED_DK:
         return None
-    rendered = xa.frac_to_decimal_str(cf.dk_index(c.n), 2)
-    return _exact(ref.PUBLISHED_DK[c.n], rendered, str) | {
+    return _published(c, "dk") | {
         "informational": c.n >= 2,
         "note": (
             None
@@ -235,9 +241,7 @@ def _published_dk(c: _Chain) -> dict | None:
 def _published_trees(c: _Chain) -> dict | None:
     if c.n not in ref.PUBLISHED_TREES:
         return None
-    return _exact(ref.PUBLISHED_TREES[c.n], cf.spanning_trees(c.n), str) | {
-        "note": ref.TREE_NORMALIZATION_NOTES.get(c.n)
-    }
+    return _published(c, "trees") | {"note": ref.TREE_NORMALIZATION_NOTES.get(c.n)}
 
 
 _CHECKS: list[tuple[str, Callable[[_Chain], dict | None]]] = [
@@ -297,13 +301,14 @@ def run_verification(n_max: int) -> VerificationReport:
     if n_max < 1:
         raise ValueError("n_max must be a positive integer")
     checks: list[CheckResult] = []
-    for n in range(1, n_max + 1):
-        chain = _Chain(n)
+    chain = _Chain(1)  # each size shares its block images with the size below
+    while chain.n <= n_max:
         for name, check in _CHECKS:
             fields = check(chain)
             if fields is not None:
                 fields = {"mode": "exact", "tolerance": None} | fields
-                checks.append(CheckResult(name=name, n=n, **fields))
+                checks.append(CheckResult(name=name, n=chain.n, **fields))
+        chain = chain.next
 
     checks.sort(key=lambda c: (c.name, c.n))
     failed = sum(1 for c in checks if not c.passed and not c.informational)

@@ -6,6 +6,7 @@ import pytest
 from octachain import cli
 from octachain import closed_forms as cf
 from octachain import exact_algebra as xa
+from octachain import laplacian as lap
 from octachain import oracles as orc
 from octachain import verification as ver
 
@@ -166,3 +167,31 @@ def test_ladder_mismatch_reports_both_values(monkeypatch):
     assert row.expected == "match"
     assert row.actual.startswith("j=1: expected 0/1, got 4/3; j=2: ")
     assert row.actual.count(";") == 2  # at most three mismatches are listed
+
+
+@pytest.mark.parametrize("which, last", [("dk", 30), ("trees", 12)])
+def test_published_checks_read_the_compared_table_rows(capsys, which, last):
+    argv = ["table", which, "--to", str(last), "--compare-paper", "--format", "json"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["n"] for row in rows] == list(range(1, last + 1))
+    check = {"dk": ver._published_dk, "trees": ver._published_trees}[which]
+    for row in rows:
+        fields = check(ver._Chain(row["n"]))
+        got = fields["expected"], fields["actual"], fields["passed"]
+        assert got == (row["published"], row["value"], row["match"]), row["n"]
+
+
+def test_each_block_image_is_built_once(monkeypatch):
+    # the phase sections of size n are read from the images of size n + 1,
+    # which the next size reuses
+    calls = []
+    build = lap.rational_block_image
+
+    def counted(n, family):
+        calls.append((n, family))
+        return build(n, family)
+
+    monkeypatch.setattr(lap, "rational_block_image", counted)
+    ver.run_verification(3)
+    assert sorted(calls) == [(n, f) for n in range(1, 5) for f in "AS"]
