@@ -36,7 +36,7 @@ def write_table(path: Path, which: str, span: range, header: list[str]) -> int:
     its published figure; return how many disagree."""
     mismatches = 0
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in ref.table_rows(which, span[0], span[-1], compare=True, exact=True):
             mismatches += not row["match"]

@@ -10,16 +10,20 @@ Four subcommands:
 * ``verify``    -- run the full cross-check suite and report pass/fail.
 
 Exit codes: 0 on success, 1 when a verification or required comparison
-fails, 2 for usage errors.  Comparisons of the dk table are informational
-(the published rows beyond the first are known to diverge; the oracles side
-with the closed form) and never affect the exit code.
+fails, 2 for usage errors, and 141 (128 + SIGPIPE) when the console
+script's stdout is closed before all the output is written.  Comparisons of
+the dk table are informational (the published rows beyond the first are
+known to diverge; the oracles side with the closed form) and never affect
+the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import os
 import sys
 
 from . import graph_gen as gg
@@ -136,7 +140,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     return 0 if s["failed"] == 0 else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser shared by every `main` call in the process.
+
+    Parsing keeps no state on it: each `parse_args` makes a fresh namespace,
+    and the handlers use the parser only for `error`.  Callers must not add
+    to it or change it.
+    """
     parser = argparse.ArgumentParser(
         prog="octachain",
         description="Octagonal chain graphs and their normalized-Laplacian "
@@ -192,4 +203,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """Console script: `main` on the process's argv, then exit with its code."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the interpreter's
+        # final flush cannot raise again (see "Note on SIGPIPE" in the
+        # `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -371,3 +371,70 @@ def test_spectrum_loads_numpy_on_its_float_call(capsys):
     assert proc.returncode == 0, proc.stderr
     assert run_cli(["spectrum", "--n", "2"]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+def test_build_parser_is_shared_and_clearable():
+    assert cli.build_parser() is cli.build_parser()
+    assert callable(cli.build_parser.cache_clear)
+    assert callable(cli.build_parser.cache_info)
+
+
+@pytest.mark.parametrize(
+    "before, argv",
+    [
+        (["spectrum", "--n", "2", "--format", "json"], ["spectrum", "--n", "2"]),
+        (["table", "dk", "--to", "3", "--compare-paper"], ["table", "dk", "--to", "3"]),
+    ],
+    ids=["spectrum", "table"],
+)
+def test_consecutive_calls_keep_no_state(capsys, before, argv):
+    cli.build_parser.cache_clear()
+    assert run_cli(argv) == 0
+    first = capsys.readouterr().out
+    assert run_cli(before) == 0
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "published" not in first
+
+
+def test_usage_error_after_a_success_is_unchanged(capsys):
+    bad = ["table", "dk", "--from", "5", "--to", "2"]
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(bad)
+    assert exc.value.code == 2
+    fresh = capsys.readouterr()
+
+    assert run_cli(["table", "dk", "--to", "3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(bad)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == fresh
+    assert run_cli(["table", "dk", "--to", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "2"],
+        ["table", "dk", "--to", "3"],
+        ["graph", "--n", "2", "--format", "edgelist"],
+        ["spectrum", "--n", "2"],
+    ],
+    ids=["verify", "table", "graph", "spectrum"],
+)
+def test_closed_stdout_exits_141_without_a_traceback(argv):
+    # the read end closes long before the interpreter has started up
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "octachain", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate()
+    assert proc.returncode == 141
+    assert err == b""

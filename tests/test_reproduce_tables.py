@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from octachain import cli
 from octachain import closed_forms as cf
 from octachain import exact_algebra as xa
 from octachain import reference_data as ref
@@ -64,3 +65,23 @@ def test_reproduce_tables_out_dir_on_a_file_is_a_usage_error(capsys, tmp_path):
         script.main(["--out-dir", str(not_a_dir)])
     assert exc.value.code == 2
     assert "--out-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, columns, argv",
+    [
+        ("dk_table.csv", (0, 2), ["table", "dk", "--to", "30"]),
+        ("tree_table.csv", (0, 1), ["table", "trees", "--to", "12"]),
+    ],
+    ids=["dk", "trees"],
+)
+def test_reproduce_tables_rows_equal_the_table_command(capsys, tmp_path, name, columns, argv):
+    # the script and `octachain table` render the same rows, byte for byte
+    assert load_script().main(["--n-max", "1", "--out-dir", str(tmp_path)]) == 0
+    raw = (tmp_path / name).read_bytes()
+    assert b"\r" not in raw
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    table = capsys.readouterr().out.splitlines()[1:]
+    rows = raw.decode().splitlines()[1:]
+    assert [",".join(row.split(",")[i] for i in columns) for row in rows] == table
