@@ -4,17 +4,19 @@ Four subcommands:
 
 * ``graph``     -- emit a chain graph as json / edge list / DOT;
 * ``spectrum``  -- eigenvalues of the normalized Laplacian (as the labelled
-  union of the two fold blocks) or of a single block;
+  union of the two fold blocks) or of a single block, each block's from
+  its 3 x 3 Bloch symbols, so any n is in reach;
 * ``table``     -- closed-form value tables (dk / trees / kemeny), optionally
   compared against the published rows with ``--compare-paper``;
 * ``verify``    -- run the full cross-check suite and report pass/fail.
 
 Exit codes: 0 on success, 1 when a verification or required comparison
-fails, 2 for usage errors, and 141 (128 + SIGPIPE) when the console
-script's stdout is closed before all the output is written.  Comparisons of
-the dk table are informational (the published rows beyond the first are
-known to diverge; the oracles side with the closed form) and never affect
-the exit code.
+fails, 2 for usage errors and for output that cannot be written (a
+``--json-out`` report, or the console script's stdout on a full disk), and
+141 (128 + SIGPIPE) when the console script's stdout is closed before all
+the output is written.  Comparisons of the dk table are informational (the
+published rows beyond the first are known to diverge; the oracles side with
+the closed form) and never affect the exit code.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _cmd_spectrum(args) -> int:
     pairs = sorted(
         (v, family)
         for family in ("AS" if full else args.matrix)
-        for v in orc.eigenvalues_symmetric(lap.block_decompose(args.n, family))
+        for v in orc.bloch_eigenvalues(*lap.block_cells(family), args.n)
     )
 
     if args.format == "csv":
@@ -119,24 +121,29 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         )
     except OSError as exc:
         parser.error(f"cannot write --json-out file: {exc}")
-    with out:
-        report = ver.run_verification(args.n_max)
-        width = max(len(c.name) for c in report.checks)
-        for c in report.checks:
-            status = "PASS" if c.passed else ("INFO" if c.informational else "FAIL")
-            line = f"{status}  {c.name:<{width}}  n={c.n}"
-            if not c.passed:
-                line += f"  (expected {c.expected}, got {c.actual})"
-            if c.note:
-                line += f"  [{c.note}]"
-            print(line)
-        s = report.summary
-        print(
-            f"{s['passed']}/{s['total']} checks passed, "
-            f"{s['failed']} failed, {s['informational']} informational"
-        )
-        if args.json_out:
-            out.write(ver.report_to_json(report) + "\n")
+    # the report is written and closed before stdout, so an OSError here is
+    # the report file's own
+    try:
+        with out:
+            report = ver.run_verification(args.n_max)
+            if args.json_out:
+                out.write(ver.report_to_json(report) + "\n")
+    except OSError as exc:
+        parser.error(f"cannot write --json-out file: {exc}")
+    width = max(len(c.name) for c in report.checks)
+    for c in report.checks:
+        status = "PASS" if c.passed else ("INFO" if c.informational else "FAIL")
+        line = f"{status}  {c.name:<{width}}  n={c.n}"
+        if not c.passed:
+            line += f"  (expected {c.expected}, got {c.actual})"
+        if c.note:
+            line += f"  [{c.note}]"
+        print(line)
+    s = report.summary
+    print(
+        f"{s['passed']}/{s['total']} checks passed, "
+        f"{s['failed']} failed, {s['informational']} informational"
+    )
     return 0 if s["failed"] == 0 else 1
 
 
@@ -207,11 +214,19 @@ def entry() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout; point it at devnull so the interpreter's
-        # final flush cannot raise again (see "Note on SIGPIPE" in the
-        # `signal` docs)
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout
+        _silence_stdout()
         code = 141
+    except OSError as exc:  # stdout could not be written, on a full disk say
+        _silence_stdout()
+        print(f"octachain: cannot write the output: {exc}", file=sys.stderr)
+        code = 2
     sys.exit(code)
+
+
+def _silence_stdout() -> None:
+    """Point stdout at devnull, so the interpreter's final flush of what is
+    left in its buffer cannot raise again (see "Note on SIGPIPE" in the
+    `signal` docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())

@@ -108,6 +108,7 @@ def build_moebius_octagonal(n: int) -> ChainGraph:
     g = fold_linear_ends(build_linear_octagonal(n))
     if len(g.edges) != 7 * n:
         raise ConstructionError(f"expected {7 * n} edges, built {len(g.edges)}")
+    mirror_automorphism(g)
     return g
 
 
@@ -116,16 +117,24 @@ def mirror_automorphism(g: ChainGraph) -> tuple[int, ...]:
     vertex permutation.
 
     It is an involution without fixed points; the two seam edges are
-    exchanged with each other. Every mirror fold in :mod:`laplacian` uses it.
+    exchanged with each other. :func:`build_moebius_octagonal` checks it once
+    on every chain it builds, so the mirror folds in :mod:`laplacian` read
+    the permutation alone, from :func:`_mirror_permutation`.
     """
-    if g.kind != MOEBIUS or g.vertex_count != 6 * g.n:
-        raise ValueError("the mirror swap needs a closed chain on 6n vertices")
-    m = 3 * g.n
-    perm = tuple(i + m if i < m else i - m for i in range(2 * m))
+    perm = _mirror_permutation(g)
     mapped = {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges}
     if mapped != set(g.edges):
         raise ConstructionError("mirror permutation does not preserve adjacency")
     return perm
+
+
+def _mirror_permutation(g: ChainGraph) -> tuple[int, ...]:
+    """The vertex permutation of :func:`mirror_automorphism`, without
+    checking that it preserves the edges of `g`."""
+    if g.kind != MOEBIUS or g.vertex_count != 6 * g.n:
+        raise ValueError("the mirror swap needs a closed chain on 6n vertices")
+    m = 3 * g.n
+    return tuple(i + m if i < m else i - m for i in range(2 * m))
 
 
 def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:

@@ -4,7 +4,8 @@ Every matrix here comes from one walk over the edge list: a diagonal (the
 degrees, or 1 for a normalized matrix) minus a coupling weight(i, k, d) at
 each edge end (i, k).  The combinatorial and normalized Laplacians differ
 only in that diagonal and weight.  Every matrix, float or exact, is a plain
-list of rows; numpy is loaded only inside the eigensolver that reads them.
+list of rows, or a tuple of rows for the cached cells; numpy is loaded only
+inside the eigensolvers that read them.
 
 The normalized Laplacian of the twisted closed chain commutes with the
 top/bottom mirror swap of :func:`graph_gen.mirror_automorphism`, so folding
@@ -13,7 +14,11 @@ block (diagonal couplings reinforced) and a "difference" block.  The walk
 makes that fold itself: it keeps the top rows and adds each bottom column,
 with sign + or -, onto its mirror column.  Both blocks are almost
 tridiagonal: a band whose entries repeat with period three, plus two corner
-entries from the seam.
+entries from the seam.  So each is block-circulant with 3 x 3 cells, the
+sum block with a periodic seam and the difference block with an
+antiperiodic one: :func:`block_cells` gives its cells and seam sign for
+every n, read once from the block of Q_3, and
+:func:`oracles.bloch_eigenvalues` its spectrum from them.
 
 Every block entry is +-1/sqrt(d_i d_j), so conjugating by diag(sqrt(d))
 gives a rational matrix with the same characteristic polynomial *and* the
@@ -28,13 +33,15 @@ block are asked for by family, "A" (sum) or "S" (difference):
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .graph_gen import (
+    ConstructionError,
     _graph_data,
+    _mirror_permutation,
     build_moebius_octagonal,
-    mirror_automorphism,
     vertex_degrees,
 )
 
@@ -49,7 +56,8 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
     every degree must be positive; without it the degrees sit on the
     diagonal.  With a ``sign`` the graph is the closed chain: only its top
     3n rows are kept, and a bottom column k is folded onto its mirror column
-    with that sign.
+    with that sign; :func:`graph_gen.build_moebius_octagonal` has checked
+    that the mirror preserves the edges.
     """
     data = _graph_data(g)
     vertex_count, edges = data
@@ -58,7 +66,7 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
         raise ValueError("normalized Laplacian needs every degree positive")
     size, mirror = vertex_count, None
     if sign is not None:
-        size, mirror = vertex_count // 2, mirror_automorphism(g)
+        size, mirror = vertex_count // 2, _mirror_permutation(g)
     zero = 0 if unit is None else unit * 0
     out = [[zero] * size for _ in range(size)]
     for i in range(size):
@@ -95,6 +103,39 @@ def block_decompose(n: int, family: str) -> list[list[float]]:
     """
     sign = _family_sign(family)
     return _normalized(build_moebius_octagonal(n), sign)
+
+
+@functools.lru_cache(maxsize=2)
+def block_cells(family: str) -> tuple[tuple, tuple, int]:
+    """The 3 x 3 cells (B0, B1) and the seam sign of a fold block, for
+    every n.
+
+    Block `family` of Q_n has B0 in every diagonal cell, B1 coupling cell r
+    to cell r + 1 and B1^T back, and sign * B1 from the last cell to the
+    first: it is block-circulant for "A" (sign +1) and block-skew-circulant
+    for "S" (sign -1).  The cells are read from the block of Q_3, the
+    smallest whose cells do not alias, and that 9 x 9 block is checked to
+    be exactly this matrix; a mismatch raises ConstructionError.
+    """
+    sign = _family_sign(family)
+    block = block_decompose(3, family)
+
+    def cell(r, c):
+        rows = block[3 * r : 3 * r + 3]
+        return tuple(tuple(row[3 * c : 3 * c + 3]) for row in rows)
+
+    b0, b1 = cell(0, 0), cell(0, 1)
+    b1t, seam = tuple(zip(*b1)), tuple(tuple(sign * x for x in row) for row in b1)
+    want = {
+        (0, 0): b0, (1, 1): b0, (2, 2): b0,
+        (0, 1): b1, (1, 2): b1, (2, 0): seam,
+        (1, 0): b1t, (2, 1): b1t, (0, 2): tuple(zip(*seam)),
+    }
+    if any(cell(r, c) != cells for (r, c), cells in want.items()):
+        raise ConstructionError(
+            f"block {family} of Q_3 is not block-circulant with seam sign {sign:+d}"
+        )
+    return b0, b1, sign
 
 
 def _family_sign(family: str) -> int:

@@ -1,8 +1,10 @@
 """Independent brute-force checks for every closed-form quantity.
 
 Nothing in this module knows the chain formulas: eigenvalues come from
-LAPACK's symmetric solver through ``numpy.linalg.eigvalsh`` (the one float
-routine, and the only one that loads numpy), characteristic polynomials
+LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``, of a dense
+matrix or, for a block-circulant or block-skew-circulant matrix given by
+its cells, of its Bloch symbols (the two float routines, and the only code
+that loads numpy, inside their bodies), characteristic polynomials
 (whole, or only their lowest coefficients) and Kemeny's constant from
 banded elimination over truncated power series, the degree-weighted
 resistance sum from one such pass that carries the degrees along as an
@@ -33,31 +35,74 @@ class DisconnectedGraph(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: LAPACK's symmetric solver
+# Eigenvalues: LAPACK's symmetric solver, on a matrix or on Bloch symbols
 # ---------------------------------------------------------------------------
 
 
-def eigenvalues_symmetric(m) -> list[float]:
-    """All eigenvalues of a symmetric matrix with finite entries, ascending.
+def _square_array(m, name: str = "matrix", symmetric: bool = True):
+    """`m` as a square float array with finite entries, and symmetric too
+    unless `symmetric` is false.
 
     ``numpy.linalg.eigvalsh`` reads only one triangle of its input, so the
-    symmetry check here is what keeps it honest: a matrix whose two halves
-    differ by more than ``1e-9 * max(1, max|a|)`` in Frobenius norm is
-    refused, not silently symmetrised.
+    symmetry check is what keeps it honest: a matrix whose two halves differ
+    by more than ``1e-9 * max(1, max|a|)`` in Frobenius norm is refused, not
+    silently symmetrised.
     """
     import numpy as np
     a = np.array(m, dtype=float)
     if a.shape == (0,):  # the empty list is the 0 x 0 matrix
         a = a.reshape(0, 0)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
+        raise ValueError(f"{name} must be square")
     if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    if a.size == 0:
-        return []
-    if np.linalg.norm(a - a.T) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
-        raise ValueError("matrix must be symmetric")
-    return np.linalg.eigvalsh(a).tolist()
+        raise ValueError(f"{name} entries must be finite")
+    if symmetric and a.size:
+        if np.linalg.norm(a - a.T) > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
+            raise ValueError(f"{name} must be symmetric")
+    return a
+
+
+def eigenvalues_symmetric(m) -> list[float]:
+    """All eigenvalues of a symmetric matrix with finite entries, ascending.
+
+    The matrix is checked as :func:`_square_array` says.
+    """
+    import numpy as np
+    a = _square_array(m)
+    return np.linalg.eigvalsh(a).tolist() if a.size else []
+
+
+def bloch_eigenvalues(b0, b1, sign: int, n: int) -> list[float]:
+    """All eigenvalues, ascending, of the symmetric n-cell block matrix with
+    every diagonal cell b0, b1 coupling cell r to cell r + 1 (and b1^T
+    back), and sign * b1 from the last cell to the first.
+
+    With sign +1 the matrix is block-circulant, with -1 block-skew-circulant
+    (Davis, *Circulant Matrices*, 1979).  Either way its eigenvalues are
+    those of the n Hermitian symbols M(t) = b0 + b1 e^(it) + b1^T e^(-it)
+    at t_k = (2k + [sign = -1]) pi / n, k = 0..n-1.  Each symbol is
+    S + iK with S = b0 + (b1 + b1^T) cos t and K = (b1 - b1^T) sin t, and
+    the real symmetric matrix [[S, -K], [K, S]] holds every eigenvalue of
+    M(t) twice; one batched ``eigvalsh`` over those real matrices gives
+    them, and every second one is kept.  b0 is checked as in
+    :func:`eigenvalues_symmetric`, and b1 must be finite and of its shape.
+    """
+    import numpy as np
+    b0, b1 = _square_array(b0, "b0"), _square_array(b1, "b1", symmetric=False)
+    if b1.shape != b0.shape:
+        raise ValueError(f"b1 has shape {b1.shape}, b0 has {b0.shape}")
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if operator.index(n) < 1:
+        raise ValueError("n must be a positive integer")
+    d = len(b0)
+    theta = (2 * np.arange(n) + (sign == -1)) * (np.pi / n)
+    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
+    real = np.empty((n, 2 * d, 2 * d))
+    real[:, :d, :d] = real[:, d:, d:] = b0 + cos * (b1 + b1.T)
+    real[:, d:, :d] = sin * (b1 - b1.T)
+    real[:, :d, d:] = -real[:, d:, :d]
+    return np.sort(np.linalg.eigvalsh(real)[:, ::2], axis=None).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,14 @@ eigenvalues, and the computed values against the published tables.
 
 The suite is the table ``_CHECKS`` of named checks.  Each check reads a
 per-``n`` context, ``_Chain``, whose shared artifacts (the graph, the rational
-block images of Q_n and the three lowest coefficients of their
-characteristic polynomials, the bipartition, the Kemeny oracle value, the
-full spectrum) are built on first use and then reused, and returns the fields
-of its :class:`CheckResult`.  The phase sections of Q_n are index ranges of
-the images of Q_(n+1), read from ``next``, the context ``run_verification``
-steps to, so each image is built once.  Each minor ladder is one
-:func:`~octachain.exact_algebra.leading_minors` sweep over a section, each
-family of vertex-deleted minors one
+block images of Q_n and the three ("A") or two ("S") lowest coefficients of
+their characteristic polynomials, the bipartition, the Kemeny oracle value,
+the full spectrum) are built on first use and then reused, and returns the
+fields of its :class:`CheckResult`.  The phase sections of Q_n are index
+ranges of the images of Q_(n+1), read from ``next``, the context
+``run_verification`` steps to, so each image is built once.  Each minor
+ladder is one :func:`~octachain.exact_algebra.leading_minors` sweep over a
+section, each family of vertex-deleted minors one
 :func:`~octachain.exact_algebra.deleted_minors` sweep over a block image, and
 each published row one :func:`~octachain.reference_data.table_rows` row.
 Vector checks report their first three mismatches with both values.
@@ -98,7 +98,8 @@ class _Chain:
 
     @cached_property
     def ps(self) -> list[Fraction]:
-        return orc.charpoly_exact(self.image["S"], terms=3)
+        # its readers need c0 and c1 only
+        return orc.charpoly_exact(self.image["S"], terms=2)
 
     @cached_property
     def bipartite(self) -> tuple[bool, list[int]]:

@@ -438,3 +438,74 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     _, err = proc.communicate()
     assert proc.returncode == 141
     assert err == b""
+
+
+def test_spectrum_labels_and_values_match_the_dense_blocks(capsys):
+    from octachain import laplacian as lap
+    from octachain import oracles as orc
+
+    n = 40
+    assert run_cli(["spectrum", "--n", str(n)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    values = [float(v) for _, v, _ in rows]
+    assert values == sorted(values)
+    for family in "AS":
+        got = [float(v) for _, v, b in rows if b == family]
+        assert len(got) == 3 * n
+        dense = orc.eigenvalues_symmetric(lap.block_decompose(n, family))
+        assert max(abs(a - b) for a, b in zip(got, dense)) <= 1e-12
+
+
+def test_spectrum_reaches_large_n(capsys):
+    assert run_cli(["spectrum", "--n", "20000", "--matrix", "S", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    values = data["eigenvalues"]
+    assert len(values) == 60000
+    assert values == sorted(values)
+    assert 0.0 <= values[0] and values[-1] <= 2.0
+
+
+def _on_full_disk(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "octachain", *argv],
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        **kwargs,
+    )
+
+
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="needs /dev/full"
+)
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "1"],
+        ["table", "dk", "--to", "3"],
+        ["graph", "--n", "2", "--format", "edgelist"],
+        ["spectrum", "--n", "2"],
+    ],
+    ids=["verify", "table", "graph", "spectrum"],
+)
+def test_full_stdout_exits_2_without_a_traceback(argv):
+    with open("/dev/full", "w") as full:
+        proc = _on_full_disk(argv, stdout=full)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "cannot write the output" in proc.stderr
+
+
+@needs_dev_full
+def test_verify_json_out_on_a_full_disk_exits_2():
+    proc = _on_full_disk(
+        ["verify", "--n-max", "1", "--json-out", "/dev/full"], stdout=subprocess.PIPE
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "cannot write --json-out" in proc.stderr

@@ -295,3 +295,39 @@ def test_block_trace_identity():
         la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
         total = np.trace(la) + np.trace(ls)
         assert total == pytest.approx(6 * n, abs=1e-9)
+
+
+def test_a_built_chain_is_mirror_checked_once(monkeypatch):
+    calls = []
+    check = gg.mirror_automorphism
+
+    def counted(g):
+        calls.append(g.n)
+        return check(g)
+
+    monkeypatch.setattr(gg, "mirror_automorphism", counted)
+    monkeypatch.setattr(lap, "mirror_automorphism", counted, raising=False)
+    gg.build_moebius_octagonal.cache_clear()
+    gg.build_moebius_octagonal(7)
+    assert calls == [7]
+    for family in "AS":
+        lap.block_decompose(7, family)
+        lap.rational_block_image(7, family)
+    assert calls == [7]
+
+
+def test_build_refuses_a_chain_the_mirror_does_not_preserve(monkeypatch):
+    # move the rung u_4 -- v_4 to u_4 -- v_5: the edge count stays 7n
+    fold = gg.fold_linear_ends
+
+    def skewed(g):
+        q = fold(g)
+        m = 3 * q.n
+        edges = [(3, m + 4) if e == (3, m + 3) else e for e in q.edges]
+        return gg.ChainGraph(gg.MOEBIUS, q.n, q.vertex_count, tuple(sorted(edges)))
+
+    monkeypatch.setattr(gg, "fold_linear_ends", skewed)
+    gg.build_moebius_octagonal.cache_clear()
+    with pytest.raises(gg.ConstructionError, match="mirror"):
+        gg.build_moebius_octagonal(3)
+    gg.build_moebius_octagonal.cache_clear()
