@@ -112,19 +112,15 @@ def _cmd_table(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    # open the report file first, so a bad path fails before the long run
+    # the report file is opened before the long run, so a bad path fails
+    # first, and written and closed before stdout; run_verification does no
+    # I/O, so an OSError here is the report file's own
     try:
-        out = (
+        with (
             open(args.json_out, "w", encoding="utf-8")
             if args.json_out
             else contextlib.nullcontext()
-        )
-    except OSError as exc:
-        parser.error(f"cannot write --json-out file: {exc}")
-    # the report is written and closed before stdout, so an OSError here is
-    # the report file's own
-    try:
-        with out:
+        ) as out:
             report = ver.run_verification(args.n_max)
             if args.json_out:
                 out.write(ver.report_to_json(report) + "\n")

@@ -341,16 +341,16 @@ def _schur_sweep(
 
 def _minors_per_set(rows: list[dict[int, Fraction]], index_sets) -> list[Fraction]:
     """det(m[K, K]) for each index set K of the sparse rows of m: one
-    :func:`bareiss_det_int` of the rows cleared to integers, divided by the
-    scales of the rows it keeps."""
+    :func:`_eliminate` of the rows cleared to integers and cut to K, still
+    sparse, divided by the scales of the rows it keeps."""
     cleared, scales = _cleared_rows(rows)
-    return [
-        Fraction(
-            bareiss_det_int([[cleared[i].get(j, 0) for j in keep] for i in keep]),
-            math.prod(scales[i] for i in keep),
-        )
-        for keep in index_sets
-    ]
+    minors = []
+    for keep in index_sets:
+        place = {old: new for new, old in enumerate(keep)}
+        sub = [{place[j]: x for j, x in cleared[i].items() if j in place} for i in keep]
+        det = _eliminate(sub, [0] * len(sub), 1)[0][0]
+        minors.append(Fraction(det, math.prod(scales[i] for i in keep)))
+    return minors
 
 
 def leading_minors(m: Sequence[Sequence]) -> list[Fraction]:

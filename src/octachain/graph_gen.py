@@ -224,13 +224,13 @@ def is_bipartite(g):
 
     Returns ``(True, colours)`` where ``colours[v]`` is 0/1, or
     ``(False, cycle)`` where ``cycle`` is an odd-length vertex tuple whose
-    consecutive pairs (wrapping around) are all edges.
+    consecutive pairs (wrapping around) are all edges.  The cycle is read
+    from the parent pointers of the breadth-first search alone.
     """
     g = _graph_data(g)
     adj = adjacency_lists(g)
     colour = [-1] * g.vertex_count
     parent = [-1] * g.vertex_count
-    depth = [0] * g.vertex_count
     for root in range(g.vertex_count):
         if colour[root] != -1:
             continue
@@ -241,33 +241,25 @@ def is_bipartite(g):
                 if colour[w] == -1:
                     colour[w] = 1 - colour[v]
                     parent[w] = v
-                    depth[w] = depth[v] + 1
                     queue.append(w)
                 elif colour[w] == colour[v]:
-                    return False, _odd_cycle(v, w, parent, depth)
+                    return False, _odd_cycle(v, w, parent)
     return True, tuple(colour)
 
 
-def _odd_cycle(v, w, parent, depth):
-    # walk both endpoints of the offending edge up to their lowest common
-    # ancestor; the two branches plus the edge v--w close an odd cycle
-    left, right = v, w
-    left_path, right_path = [left], [right]
-    while depth[left] > depth[right]:
-        left = parent[left]
-        left_path.append(left)
-    while depth[right] > depth[left]:
-        right = parent[right]
-        right_path.append(right)
-    while left != right:
-        left = parent[left]
-        right = parent[right]
-        left_path.append(left)
-        right_path.append(right)
-    # drop the duplicated ancestor from one branch and reverse the other so
-    # consecutive listed vertices are adjacent
-    cycle = left_path + right_path[-2::-1]
-    return tuple(cycle)
+def _odd_cycle(v, w, parent):
+    # v and w share a colour, so the search put them at one depth and their
+    # paths up the parent pointers reach the root together; below their
+    # lowest common ancestor a the paths part.  v up to a, then a's branch
+    # down to w, closes an odd cycle with the edge w -- v
+    left, right = [v], [w]
+    while parent[left[-1]] != -1:
+        left.append(parent[left[-1]])
+        right.append(parent[right[-1]])
+    while left[-2] == right[-2]:  # drop the shared path above a
+        left.pop()
+        right.pop()
+    return tuple(left + right[-2::-1])
 
 
 def export(g: ChainGraph, fmt: str) -> str:

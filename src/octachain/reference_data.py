@@ -10,12 +10,13 @@ The divergence is explained: every printed row, n = 1..30, is the value of
 needs 14n, and the two agree only at n = 1.
 
 ``PUBLISHED_TREES_RAW`` holds the printed spanning-tree counts verbatim.
-Several rows have garbled digit grouping (commas in impossible places); the
-normalized integers live in ``PUBLISHED_TREES`` with per-row notes in
-``TREE_NORMALIZATION_NOTES``.  For n = 12 the printed digits themselves
-contain a one-digit misprint: both the closed form and the exact cofactor
-oracle give 1020809018952, while the printed digits read ...8752.  The
-normalized fixture carries the corrected value.
+Several rows have garbled digit grouping (commas in impossible places), so
+``PUBLISHED_TREES`` derives the integers from the printed digits with the
+commas dropped; ``TREE_NORMALIZATION_NOTES`` has a note on each regrouped
+row.  For n = 12 the printed digits themselves contain a one-digit misprint:
+both the closed form and the exact cofactor oracle give 1020809018952,
+while the printed digits read ...8752.  ``PUBLISHED_TREES`` overrides that
+one entry with the corrected value.
 
 ``table_rows`` renders every dk, Kemeny and tree-count row for the ``table``
 command, the verifier and ``scripts/reproduce_tables.py``.
@@ -74,21 +75,6 @@ PUBLISHED_TREES_RAW = {
     12: "102,080,901,875,2",
 }
 
-PUBLISHED_TREES = {
-    1: 15,
-    2: 192,
-    3: 2205,
-    4: 23064,
-    5: 226875,
-    6: 2143296,
-    7: 19686345,
-    8: 177131568,
-    9: 1568872935,
-    10: 13724122560,
-    11: 118854766965,
-    12: 1020809018952,
-}
-
 TREE_NORMALIZATION_NOTES = {
     4: "printed as 230,64; comma misplaced, digits read 23064",
     6: "printed as 214,329,6; commas misplaced, digits read 2143296",
@@ -100,6 +86,13 @@ TREE_NORMALIZATION_NOTES = {
         "closed form and the exact cofactor oracle give 1020809018952"
     ),
 }
+
+# the printed digits with the commas dropped, but for the n = 12 misprint
+# (see TREE_NORMALIZATION_NOTES)
+PUBLISHED_TREES = {
+    n: int(raw.replace(",", "")) for n, raw in PUBLISHED_TREES_RAW.items()
+}
+PUBLISHED_TREES[12] = 1020809018952
 
 
 _PLACES = {"dk": 2, "kemeny": 6}  # decimal places of a rendered value

@@ -322,12 +322,6 @@ def run_verification(n_max: int) -> VerificationReport:
     return VerificationReport(checks=checks, summary=summary)
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    return {
-        "checks": [asdict(c) for c in report.checks],
-        "summary": dict(report.summary),
-    }
-
-
 def report_to_json(report: VerificationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2)
+    checks = [asdict(c) for c in report.checks]
+    return json.dumps({"checks": checks, "summary": dict(report.summary)}, indent=2)

@@ -241,11 +241,40 @@ def per_set_calls(monkeypatch):
     return calls
 
 
-def test_a_zero_proper_pivot_sends_the_sweep_to_the_per_set_route(per_set_calls):
+@pytest.fixture
+def rows_read(monkeypatch):
+    """How many rows each call of ``_read_rows`` reads."""
+    reads, read = [], xa._read_rows
+
+    def spy(m, entry):
+        reads.append(len(m))
+        return read(m, entry)
+
+    monkeypatch.setattr(xa, "_read_rows", spy)
+    return reads
+
+
+def test_a_zero_proper_pivot_sends_the_sweep_to_the_per_set_route(
+    per_set_calls, rows_read
+):
     m = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]  # a path: the first pivot is 0
-    assert xa.leading_minors(m) == principal_minors(m, _leading_sets(3)) == [0, -1, 0]
-    assert xa.deleted_minors(m) == principal_minors(m, _deleted_sets(3)) == [-1, 0, -1]
+    leading, deleted = xa.leading_minors(m), xa.deleted_minors(m)
     assert per_set_calls == [3, 3]
+    assert rows_read == [3, 3]  # the per-set route reads no row again
+    assert leading == principal_minors(m, _leading_sets(3)) == [0, -1, 0]
+    assert deleted == principal_minors(m, _deleted_sets(3)) == [-1, 0, -1]
+
+
+def test_wide_couplings_of_the_twisted_sweep_read_no_row_again(
+    per_set_calls, rows_read
+):
+    # dense, so deleted_minors joins its sweeps through 3 x 3 and 2 x 2
+    # couplings, each one index set of the per-set route
+    m = [[F(7, 2) if i == j else F(1, i + j + 1) for j in range(5)] for i in range(5)]
+    deleted = xa.deleted_minors(m)
+    assert per_set_calls == [1, 1, 1]
+    assert rows_read == [5]
+    assert deleted == principal_minors(m, _deleted_sets(5))
 
 
 def test_only_a_zero_last_pivot_keeps_the_sweep(per_set_calls):

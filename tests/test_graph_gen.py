@@ -1,5 +1,7 @@
 import importlib
+import itertools
 import pkgutil
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -154,6 +156,38 @@ def test_bipartite_iff_odd():
             for i, v in enumerate(cycle):
                 w = cycle[(i + 1) % len(cycle)]
                 assert tuple(sorted((v, w))) in edge_set
+
+
+@pytest.mark.parametrize(
+    "n, cycle",
+    [
+        (2, (3, 2, 1, 0, 6, 5, 4)),
+        (4, (6, 5, 4, 3, 2, 1, 0, 12, 11, 10, 9, 8, 7)),
+        (10, (*range(15, -1, -1), *range(30, 15, -1))),
+    ],
+)
+def test_odd_cycle_certificates_of_even_chains(n, cycle):
+    assert gg.is_bipartite(gg.build_moebius_octagonal(n)) == (False, cycle)
+
+
+def test_odd_cycles_of_random_graphs_are_odd_closed_and_simple():
+    rng = random.Random(29)
+    odd = disconnected = 0
+    for _ in range(300):
+        count, p = rng.randint(3, 30), rng.choice([0.05, 0.1, 0.2, 0.4])
+        pairs = itertools.combinations(range(count), 2)
+        edges = [e for e in pairs if rng.random() < p]
+        flag, cert = gg.is_bipartite((count, edges))
+        if flag:
+            assert all(cert[a] != cert[b] for a, b in edges)
+            continue
+        odd += 1
+        disconnected += not gg.is_connected((count, edges))
+        assert len(cert) % 2 == 1
+        assert len(set(cert)) == len(cert)  # simple: no vertex twice
+        closing = zip(cert, cert[1:] + cert[:1])
+        assert {tuple(sorted(e)) for e in closing} <= set(edges)
+    assert odd >= 100 and disconnected >= 10
 
 
 def test_linear_always_bipartite():
