@@ -11,12 +11,13 @@ Four subcommands:
 * ``verify``    -- run the full cross-check suite and report pass/fail.
 
 Exit codes: 0 on success, 1 when a verification or required comparison
-fails, 2 for usage errors and for output that cannot be written (a
-``--json-out`` report, or the console script's stdout on a full disk), and
-141 (128 + SIGPIPE) when the console script's stdout is closed before all
-the output is written.  Comparisons of the dk table are informational (the
-published rows beyond the first are known to diverge; the oracles side with
-the closed form) and never affect the exit code.
+fails, 2 for usage errors, for output that cannot be written (a
+``--json-out`` report, or the console script's stdout on a full disk) and
+for a console-script run that runs out of memory, and 141 (128 + SIGPIPE)
+when the console script's stdout is closed before all the output is
+written.  Comparisons of the dk table are informational (the published
+rows beyond the first are known to diverge; the oracles side with the
+closed form) and never affect the exit code.
 """
 
 from __future__ import annotations
@@ -216,6 +217,10 @@ def entry() -> None:
     except OSError as exc:  # stdout could not be written, on a full disk say
         _silence_stdout()
         print(f"octachain: cannot write the output: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError as exc:  # an n far too large to hold, say
+        reason = str(exc) or "allocation failed"
+        print(f"octachain: out of memory: {reason}", file=sys.stderr)
         code = 2
     sys.exit(code)
 

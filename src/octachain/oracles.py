@@ -1,18 +1,18 @@
 """Independent brute-force checks for every closed-form quantity.
 
 Nothing in this module knows the chain formulas: eigenvalues come from
-LAPACK's symmetric solver through ``numpy.linalg.eigvalsh``, of a dense
-matrix or, for a block-circulant or block-skew-circulant matrix given by
-its cells, of its Bloch symbols (the two float routines, and the only code
-that loads numpy, inside their bodies), characteristic polynomials
-(whole, or only their lowest coefficients) and Kemeny's constant from
-banded elimination over truncated power series, the degree-weighted
-resistance sum from one such pass that carries the degrees along as an
-extra column, and tree counts from an exact cofactor.  Any graph can be
-passed in, either a :class:`~octachain.graph_gen.ChainGraph` or a plain
-``(vertex_count, edges)`` pair, which keeps the oracles honest: they are
-exercised on tiny hand-checkable graphs in the tests before being pointed
-at the chains.
+LAPACK's Hermitian solver through ``numpy.linalg.eigvalsh``, of a dense
+real symmetric matrix or, for a block-circulant or block-skew-circulant
+matrix given by its cells, of its complex Bloch symbols (the two float
+routines, and the only code that loads numpy, inside their bodies),
+characteristic polynomials (whole, or only their lowest coefficients) and
+Kemeny's constant from banded elimination over truncated power series, the
+degree-weighted resistance sum from one such pass that carries the degrees
+along as an extra column, and tree counts from an exact cofactor.  Any
+graph can be passed in, either a :class:`~octachain.graph_gen.ChainGraph`
+or a plain ``(vertex_count, edges)`` pair, which keeps the oracles honest:
+they are exercised on tiny hand-checkable graphs in the tests before being
+pointed at the chains.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class DisconnectedGraph(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalues: LAPACK's symmetric solver, on a matrix or on Bloch symbols
+# Eigenvalues: LAPACK's Hermitian solver, on a matrix or on Bloch symbols
 # ---------------------------------------------------------------------------
 
 
@@ -80,12 +80,9 @@ def bloch_eigenvalues(b0, b1, sign: int, n: int) -> list[float]:
     With sign +1 the matrix is block-circulant, with -1 block-skew-circulant
     (Davis, *Circulant Matrices*, 1979).  Either way its eigenvalues are
     those of the n Hermitian symbols M(t) = b0 + b1 e^(it) + b1^T e^(-it)
-    at t_k = (2k + [sign = -1]) pi / n, k = 0..n-1.  Each symbol is
-    S + iK with S = b0 + (b1 + b1^T) cos t and K = (b1 - b1^T) sin t, and
-    the real symmetric matrix [[S, -K], [K, S]] holds every eigenvalue of
-    M(t) twice; one batched ``eigvalsh`` over those real matrices gives
-    them, and every second one is kept.  b0 is checked as in
-    :func:`eigenvalues_symmetric`, and b1 must be finite and of its shape.
+    at t_k = (2k + [sign = -1]) pi / n, k = 0..n-1, solved in one batched
+    ``eigvalsh`` call.  b0 is checked as in :func:`eigenvalues_symmetric`,
+    and b1 must be finite and of its shape.
     """
     import numpy as np
     b0, b1 = _square_array(b0, "b0"), _square_array(b1, "b1", symmetric=False)
@@ -95,14 +92,10 @@ def bloch_eigenvalues(b0, b1, sign: int, n: int) -> list[float]:
         raise ValueError("sign must be +1 or -1")
     if operator.index(n) < 1:
         raise ValueError("n must be a positive integer")
-    d = len(b0)
     theta = (2 * np.arange(n) + (sign == -1)) * (np.pi / n)
-    cos, sin = np.cos(theta)[:, None, None], np.sin(theta)[:, None, None]
-    real = np.empty((n, 2 * d, 2 * d))
-    real[:, :d, :d] = real[:, d:, d:] = b0 + cos * (b1 + b1.T)
-    real[:, d:, :d] = sin * (b1 - b1.T)
-    real[:, :d, d:] = -real[:, d:, :d]
-    return np.sort(np.linalg.eigvalsh(real)[:, ::2], axis=None).tolist()
+    phase = np.exp(1j * theta)[:, None, None]
+    symbols = b0 + phase * b1 + phase.conj() * b1.T
+    return np.sort(np.linalg.eigvalsh(symbols), axis=None).tolist()
 
 
 # ---------------------------------------------------------------------------

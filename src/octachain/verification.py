@@ -5,8 +5,9 @@ chain of identities this package claims: minor ladders and vertex-deleted
 minors against exact principal minors of the block images, coefficient sums
 and the difference-block determinant against characteristic polynomials,
 reciprocal eigenvalue sums against Vieta ratios, tree counts and resistance
-indices against brute-force oracles, the spectrum split against numeric
-eigenvalues, and the computed values against the published tables.
+indices against brute-force oracles, the Bloch spectra of the two fold
+blocks, the route ``spectrum`` prints, against the dense spectrum of Q_n,
+and the computed values against the published tables.
 
 The suite is the table ``_CHECKS`` of named checks.  Each check reads a
 per-``n`` context, ``_Chain``, whose shared artifacts (the graph, the rational
@@ -188,7 +189,7 @@ def _block_spectrum_union(c: _Chain) -> dict:
     union = sorted(
         v
         for family in "AS"
-        for v in orc.eigenvalues_symmetric(lap.block_decompose(c.n, family))
+        for v in orc.bloch_eigenvalues(*lap.block_cells(family), c.n)
     )
     worst = max(abs(a - b) for a, b in zip(c.spectrum, union))
     return {

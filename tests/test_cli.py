@@ -440,6 +440,28 @@ def test_closed_stdout_exits_141_without_a_traceback(argv):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError(), "octachain: out of memory: allocation failed"),
+        (
+            MemoryError("Unable to allocate 7.11 PiB"),
+            "octachain: out of memory: Unable to allocate 7.11 PiB",
+        ),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, error, line):
+    def main():
+        raise error
+
+    monkeypatch.setattr(cli, "main", main)
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", line + "\n")
+
+
 def test_spectrum_labels_and_values_match_the_dense_blocks(capsys):
     from octachain import laplacian as lap
     from octachain import oracles as orc

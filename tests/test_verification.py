@@ -195,3 +195,47 @@ def test_each_block_image_is_built_once(monkeypatch):
     monkeypatch.setattr(lap, "rational_block_image", counted)
     ver.run_verification(3)
     assert sorted(calls) == [(n, f) for n in range(1, 5) for f in "AS"]
+
+
+def test_verify_solves_one_dense_spectrum_per_n(monkeypatch):
+    # the fold spectra come from the Bloch symbols that `spectrum` ships
+    calls = {"dense": 0, "bloch": 0}
+    dense, bloch = orc.eigenvalues_symmetric, orc.bloch_eigenvalues
+
+    def counted_dense(m):
+        calls["dense"] += 1
+        return dense(m)
+
+    def counted_bloch(b0, b1, sign, n):
+        calls["bloch"] += 1
+        return bloch(b0, b1, sign, n)
+
+    monkeypatch.setattr(orc, "eigenvalues_symmetric", counted_dense)
+    monkeypatch.setattr(orc, "bloch_eigenvalues", counted_bloch)
+    ver.run_verification(4)
+    assert calls == {"dense": 4, "bloch": 8}
+
+
+@pytest.fixture
+def fresh_block_cells():
+    cells = lap.block_cells
+    cells.cache_clear()
+    yield cells
+    cells.cache_clear()
+
+
+def test_moved_bloch_cells_fail_the_spectrum_union(
+    monkeypatch, capsys, fresh_block_cells
+):
+    def moved(family):
+        b0, b1, sign = fresh_block_cells(family)
+        b0 = ((b0[0][0] + 1e-6, *b0[0][1:]), *b0[1:])
+        return b0, b1, sign
+
+    monkeypatch.setattr(lap, "block_cells", moved)
+    rows = [
+        c for c in ver.run_verification(2).checks if c.name == "block_spectrum_union"
+    ]
+    assert [(c.n, c.passed) for c in rows] == [(1, False), (2, False)]
+    assert cli.main(["verify", "--n-max", "2"]) == 1
+    assert "FAIL  block_spectrum_union" in capsys.readouterr().out
