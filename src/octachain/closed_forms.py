@@ -27,12 +27,14 @@ Quantities provided (for the closed chain with parameter n):
 * ``table_terms`` -- dk, Kemeny or tree-count rows for n = start..end,
   streamed as unreduced pairs;
 * minor ladders ``w_minor`` / ``q_minor``, both read from a table of
-  (a, b) by phase and j mod 3 at k = floor(j / 3): w_j = (a + b k) / 12**k
-  (the double root 1/12 of the sum-block sections) and
-  q_j = (a t_k + 15 b u_k) / 12**k (the roots (4 +- sqrt(15))/12 of the
-  difference-block sections), and the vertex-deleted determinants
-  ``minor_det_la`` / ``minor_det_ls`` with their coefficient sums, feeding
-  the verification layer.
+  integer triples (a, b, d) by phase and j mod 3 at k = floor(j / 3):
+  w_j = (a + b k) / (d 12**k) (the double root 1/12 of the sum-block
+  sections) and q_j = (a t_k + 15 b u_k) / (d 12**k) (the roots
+  (4 +- sqrt(15))/12 of the difference-block sections), each one
+  ``Fraction`` of an integer pair, and the vertex-deleted determinants
+  ``minor_det_la`` (one ``Fraction`` of four unreduced w pairs) /
+  ``minor_det_ls`` with their coefficient sums, feeding the verification
+  layer.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ from .exact_algebra import unit_power, unit_powers
 
 F = Fraction
 
-_TWELFTH = F(1, 12)
-
 
 def _require_positive(n: int) -> None:
     if n < 1:
@@ -58,20 +58,30 @@ def _require_positive(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# pairs (a, b) with w_j = (a + b*k) / 12**k, k = (j - r)/3, keyed by
-# (phase, r = j mod 3): one period's transfer product of an A section has the
-# double root 1/12, so each residue class is linear in k over 12**k
+# triples (a, b, d) with w_j = (a + b*k) / (d * 12**k), k = (j - r)/3, keyed
+# by (phase, r = j mod 3): one period's transfer product of an A section has
+# the double root 1/12, so each residue class is linear in k over 12**k
 _W_COEFF = {
-    (0, 0): (1, 3),
-    (0, 1): (F(2, 3), 1),
-    (0, 2): (F(1, 2), F(1, 2)),
-    (1, 0): (1, 3),
-    (1, 1): (1, F(3, 2)),
-    (1, 2): (F(3, 4), F(3, 4)),
-    (2, 0): (1, 3),
-    (2, 1): (1, F(3, 2)),
-    (2, 2): (F(1, 2), F(1, 2)),
+    (0, 0): (1, 3, 1),
+    (0, 1): (2, 3, 3),
+    (0, 2): (1, 1, 2),
+    (1, 0): (1, 3, 1),
+    (1, 1): (2, 3, 2),
+    (1, 2): (3, 3, 4),
+    (2, 0): (1, 3, 1),
+    (2, 1): (2, 3, 2),
+    (2, 2): (1, 1, 2),
 }
+
+
+def _w_terms(phase: int, j: int) -> tuple[int, int]:
+    """w_j at `phase` as an unreduced pair (numerator, denominator > 0),
+    with w(-1) = 0; j >= -1 and the phase are not checked here."""
+    if j == -1:
+        return 0, 1
+    k, r = divmod(j, 3)
+    a, b, d = _W_COEFF[(phase, r)]
+    return a + b * k, d * 12**k
 
 
 def w_minor(phase: int, j: int) -> Fraction:
@@ -86,23 +96,21 @@ def w_minor(phase: int, j: int) -> Fraction:
     j = operator.index(j)
     if j < -1:
         raise ValueError("index must be at least -1")
-    r = j % 3
-    k = (j - r) // 3
-    a, b = _W_COEFF[(phase, r)]
-    return (a + b * k) * _TWELFTH**k
+    return F(*_w_terms(phase, j))
 
 
-# pairs (a, b) of c = a + b sqrt(15) with q_j = c * x_+**k + conj(c) * x_-**k,
-# k = (j - r)/3 and x_+- = (4 +- sqrt(15)) / 12, keyed by (phase, r = j mod 3);
-# with x_+-**k = (t_k +- u_k sqrt(15)) / (2 * 12**k) this is
-# q_j = (a * t_k + 15 * b * u_k) / 12**k
+# triples (a, b, d) of c = (a + b sqrt(15)) / d with
+# q_j = c * x_+**k + conj(c) * x_-**k, k = (j - r)/3 and
+# x_+- = (4 +- sqrt(15)) / 12, keyed by (phase, r = j mod 3); with
+# x_+-**k = (t_k +- u_k sqrt(15)) / (2 * 12**k) this is
+# q_j = (a * t_k + 15 * b * u_k) / (d * 12**k)
 _Q_COEFF = {
-    (0, 0): (F(1, 2), F(1, 5)),
-    (0, 1): (F(2, 3), F(17, 90)),
-    (0, 2): (F(7, 12), F(7, 45)),
-    (1, 0): (F(1, 2), F(1, 5)),
-    (1, 1): (F(1, 2), F(3, 20)),
-    (1, 2): (F(3, 8), F(1, 10)),
+    (0, 0): (5, 2, 10),
+    (0, 1): (60, 17, 90),
+    (0, 2): (105, 28, 180),
+    (1, 0): (5, 2, 10),
+    (1, 1): (10, 3, 20),
+    (1, 2): (15, 4, 40),
 }
 
 
@@ -113,11 +121,10 @@ def q_minor(phase: int, j: int) -> Fraction:
     j = operator.index(j)
     if j < 0:
         raise ValueError("index must be non-negative")
-    r = j % 3
-    k = (j - r) // 3
-    a, b = _Q_COEFF[(phase, r)]
+    k, r = divmod(j, 3)
+    a, b, d = _Q_COEFF[(phase, r)]
     t, u = unit_power(k)
-    return (a * t + 15 * b * u) / 12**k
+    return F(a * t + 15 * b * u, d * 12**k)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +249,12 @@ def minor_det_la(x: int, n: int) -> Fraction:
     if not 1 <= x <= 3 * n:
         raise ValueError(f"position {x} outside 1..{3 * n}")
     r = x % 3
-    return w_minor(0, x - 1) * w_minor(r, 3 * n - x) - F(1, 6) * w_minor(
-        1, x - 2
-    ) * w_minor(r, 3 * n - x - 1)
+    p1, d1 = _w_terms(0, x - 1)
+    p2, d2 = _w_terms(r, 3 * n - x)
+    p3, d3 = _w_terms(1, x - 2)
+    p4, d4 = _w_terms(r, 3 * n - x - 1)
+    # w1 w2 - w3 w4 / 6 over the denominator 6 d1 d2 d3 d4
+    return F(6 * p1 * p2 * d3 * d4 - p3 * p4 * d1 * d2, 6 * d1 * d2 * d3 * d4)
 
 
 def minor_det_ls(x: int, n: int) -> Fraction:

@@ -10,18 +10,20 @@ above all, raises ``TypeError`` rather than being truncated.
 
 Each kernel iterates every row of its matrix once, keeping the nonzero
 entries as ``{column: entry}`` rows that the elimination, the reverse
-Cuthill-McKee order and the sweeps all work on.  Determinants are
-fraction-free elimination (Bareiss) on integer rows, so intermediate values
-stay integral; rational matrices are first cleared to integers row by row.
+Cuthill-McKee order and the sweeps all work on; a row given as such a
+``Mapping`` already is read in O(its nonzeros).  All elimination is
+fraction-free (Bareiss) on integer rows, so intermediate values stay
+integral; rational matrices are first cleared to integers row by row.
 :func:`det_series`, a banded forward elimination over truncated power
 series, gives every determinant and the lowest coefficients of
 det(R + z*diag(shift)) that characteristic polynomials are read from; its
 core also carries one right-hand column through the pass for the
-resistance oracle.  The minors of a rational matrix come from sweeps over
-its band with ``Fraction`` windows, not from one determinant each:
+resistance oracle.  The minors of a rational matrix come from integer
+sweeps over the band of its cleared rows, not from one determinant each:
 :func:`leading_minors` is one forward elimination, and
 :func:`deleted_minors` joins a forward and a backward one by a twisted
-factorization.
+factorization; each minor becomes a ``Fraction`` only at the end, divided
+by its row scales.
 """
 
 from __future__ import annotations
@@ -89,17 +91,31 @@ def _as_fraction(value) -> Fraction:
         ) from None
 
 
-def _read_rows(m: Sequence[Sequence], entry) -> list[dict]:
+def _read_rows(m: Sequence, entry) -> list[dict]:
     """The nonzero entries of a square matrix as ``{column: entry(x)}`` rows,
-    every row iterated once.  ``entry`` (``operator.index`` or
-    :func:`_as_fraction`) sees zeros too, so a float zero raises
-    ``TypeError``; a row of the wrong length raises ``ValueError``."""
-    rows = []
+    every row iterated once.  A row is a sequence of all N entries or a
+    ``Mapping`` ``{column: x}`` of some of them, read in O(its size).
+    ``entry`` (``operator.index`` or :func:`_as_fraction`) sees zeros too,
+    so a float zero raises ``TypeError``; a sequence row of the wrong length,
+    or a column outside 0..N-1, raises ``ValueError``."""
+    n, rows = len(m), []
     for row in m:
-        if len(row) != len(m):
+        if isinstance(row, Mapping):
+            read = {j: entry(x) for j, x in row.items()}
+            _check_columns(read, n)
+            rows.append({j: y for j, y in read.items() if y})
+            continue
+        if len(row) != n:
             raise ValueError("matrix must be square")
         rows.append({j: y for j, x in enumerate(row) if (y := entry(x))})
     return rows
+
+
+def _check_columns(columns, n: int) -> None:
+    """Refuse, with ``ValueError``, a column index outside 0..n-1."""
+    for j in columns:
+        if not 0 <= operator.index(j) < n:
+            raise ValueError(f"column {j} outside 0..{n - 1}")
 
 
 def _cleared_rows(
@@ -123,9 +139,11 @@ def reverse_cuthill_mckee(rows: Sequence[Mapping[int, object]]) -> list[int]:
     of R + R^T, started in each component at a vertex of least degree and
     taking neighbours by increasing degree; the visit order, reversed, keeps
     the nonzeros of the permuted matrix in a narrow band around the diagonal.
+    A column outside 0..N-1 raises ``ValueError``.
     """
     adj = [set() for _ in rows]
     for i, row in enumerate(rows):
+        _check_columns(row, len(rows))
         for j in row:
             if i != j:
                 adj[i].add(j)
@@ -295,27 +313,30 @@ def bareiss_det_int(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _half_bandwidth(rows: list[dict[int, Fraction]]) -> int:
+def _half_bandwidth(rows: list[dict]) -> int:
     return max((abs(i - j) for i, row in enumerate(rows) for j in row), default=0)
 
 
 def _schur_sweep(
-    rows: list[dict[int, Fraction]], b: int
-) -> tuple[list[Fraction], list[list[list[Fraction]]]] | None:
-    """Forward elimination without pivoting of a matrix of half-bandwidth b.
+    rows: list[dict[int, int]], b: int
+) -> tuple[list[int], list[list[list[int]]]] | None:
+    """Fraction-free forward elimination (Bareiss 1968) without pivoting of
+    an integer matrix of half-bandwidth b.
 
-    Step k reads the window of the Schur complement on [k, k + b] (clipped
-    to the matrix): eliminating [0, k) changes no entry outside
-    [k, k + b) x [k, k + b), and the window's last row and column are still
-    those of the matrix.  Returns the pivots, whose first k give the leading
-    minor of order k, and the window of every step; or None if a pivot other
-    than the last is zero, as the sweep cannot go past it.
+    Step k reads the window [k, k + b] x [k, k + b] (clipped to the matrix)
+    of the Bareiss entries det(C[[0, k) + {i}, [0, k) + {j}]), which are the
+    Schur complement of C[:k, :k] times its determinant p_k: eliminating
+    [0, k) changes no entry outside [k, k + b) x [k, k + b), so a row or
+    column that enters the window untouched is the matrix entry times the
+    current pivot, and each step is (pivot * a - a[r][0] * top[c]) // p_k,
+    an exact division.  Returns the pivots, the leading minors p_1..p_N,
+    and the window of every step; or None if a pivot other than the last
+    is zero, as the sweep cannot go past it.
     """
     n = len(rows)
-    zero = Fraction(0)
     size = min(b + 1, n)
-    window = [[rows[i].get(j, zero) for j in range(size)] for i in range(size)]
-    pivots, windows = [], []
+    window = [[rows[i].get(j, 0) for j in range(size)] for i in range(size)]
+    prev, pivots, windows = 1, [], []
     for k in range(n):
         pivot, top = window[0][0], window[0]
         pivots.append(pivot)
@@ -325,17 +346,18 @@ def _schur_sweep(
         if not pivot:
             return None
         size, inner = min(b + 1, n - k - 1), min(b, n - k - 1)
+        cols = range(1, inner + 1)
         nxt = []
         for old in window[1 : inner + 1]:
-            f = old[0] / pivot
-            cols = range(1, inner + 1)
-            nxt.append([old[c] - f * top[c] if f else old[c] for c in cols])
+            f = old[0]
+            nxt.append([(pivot * old[c] - f * top[c]) // prev for c in cols])
         if size > inner:  # row and column k + 1 + b enter the window untouched
             last = k + 1 + b
             for i, row in enumerate(nxt, start=k + 1):
-                row.append(rows[i].get(last, zero))
-            nxt.append([rows[last].get(j, zero) for j in range(k + 1, last + 1)])
-        window = nxt
+                row.append(pivot * rows[i].get(last, 0))
+            entering = rows[last]
+            nxt.append([pivot * entering.get(j, 0) for j in range(k + 1, last + 1)])
+        window, prev = nxt, pivot
     return pivots, windows
 
 
@@ -353,45 +375,54 @@ def _minors_per_set(rows: list[dict[int, Fraction]], index_sets) -> list[Fractio
     return minors
 
 
-def leading_minors(m: Sequence[Sequence]) -> list[Fraction]:
+def leading_minors(m: Sequence) -> list[Fraction]:
     """det(m[:k, :k]) of a square rational matrix for k = 1..N, in order.
 
-    One forward elimination without pivoting, in the given order: the
-    product of the first k pivots is the leading minor of order k, so a
-    matrix of half-bandwidth b costs O(N * b**2).  If a pivot other than the last is
-    zero, each minor is computed on its own instead.  A non-square matrix
-    raises ``ValueError``, an entry that is not an exact rational
-    ``TypeError``.
+    The rows are cleared to integers, C = S m with S the diagonal of row
+    scales s_i, and swept once by :func:`_schur_sweep` in the given order:
+    its pivot p_k is the integer leading minor det(C[:k, :k]), so the
+    minor of m is p_k / (s_1 ... s_k), and a matrix of half-bandwidth b
+    costs O(N * b**2).  If a pivot other than the last is zero, each minor
+    is computed on its own instead.  Rows are read as :func:`_read_rows`
+    says: a non-square matrix raises ``ValueError``, an entry that is not
+    an exact rational ``TypeError``.
     """
     rows = _read_rows(m, _as_fraction)
-    sweep = _schur_sweep(rows, _half_bandwidth(rows))
+    cleared, scales = _cleared_rows(rows)
+    sweep = _schur_sweep(cleared, _half_bandwidth(cleared))
     if sweep is None:
         return _minors_per_set(rows, [range(k) for k in range(1, len(rows) + 1)])
-    return list(itertools.accumulate(sweep[0], operator.mul))
+    return list(map(Fraction, sweep[0], itertools.accumulate(scales, operator.mul)))
 
 
-def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
+def deleted_minors(m: Sequence) -> list[Fraction]:
     """det of m without row and column x, for x = 0..N-1, in order.
 
-    A twisted factorization (Meurant 1992; Parlett & Dhillon 1997): in
-    reverse Cuthill-McKee order with half-bandwidth b, deleting x leaves the
-    leading block L = [0, x) and the trailing block R = [x + b, N), coupled
-    only through W = [x + 1, x + b).  With F_x the window of the forward
-    sweep at x and G the window of the backward sweep that has eliminated R,
+    A twisted factorization (Meurant 1992; Parlett & Dhillon 1997) of the
+    cleared integer rows C = S m: in reverse Cuthill-McKee order with
+    half-bandwidth b, deleting x leaves the leading block L = [0, x) and
+    the trailing block R = [x + b, N), coupled only through
+    W = [x + 1, x + b), h = |W|.  Let F be the forward sweep's window at x
+    and G the backward sweep's window that has eliminated R, Bareiss
+    entries at the scale of the integer minors p = det C[L, L] and
+    q = det C[R, R].  F[W] / p and G[W] / q are C[W, W] less the couplings
+    through L and through R, so with
 
-        det(m without x) = lead(x) * trail(R) * det(F_x[W] + G[W] - m[W, W]),
+        Z = q * F[W] + p * G[W] - p * q * C[W, W],
 
-    since F_x[W] and G[W] are m[W, W] less the couplings through L and
-    through R.  The two sweeps cost O(N * b**2), the (b - 1) x (b - 1)
-    determinants O(N * b**3) in all.  As in :func:`leading_minors`, a zero
-    pivot other than the last of either sweep sends every minor to its own
-    determinant, and bad input raises the same errors.
+    det(C without x) = p * q * det(Z / (p * q)) = det(Z) / (p * q)**(h - 1),
+    an exact division, and the minor of m is that times s_x / (s_0 ... s_N-1).
+    The two sweeps cost O(N * b**2), the h x h determinants O(N * b**3) in
+    all.  As in :func:`leading_minors`, a zero pivot other than the last of
+    either sweep sends every minor to its own determinant, and bad input
+    raises the same errors.
     """
     rows = _read_rows(m, _as_fraction)
     n = len(rows)
-    order = reverse_cuthill_mckee(rows)
+    cleared, scales = _cleared_rows(rows)
+    order = reverse_cuthill_mckee(cleared)
     place = {old: new for new, old in enumerate(order)}
-    band = [{place[j]: x for j, x in rows[i].items()} for i in order]
+    band = [{place[j]: x for j, x in cleared[i].items()} for i in order]
     b = max(1, _half_bandwidth(band))
     forward = _schur_sweep(band, b)
     mirrored = [{n - 1 - j: x for j, x in row.items()} for row in band[::-1]]
@@ -399,23 +430,29 @@ def deleted_minors(m: Sequence[Sequence]) -> list[Fraction]:
     if forward is None or backward is None:
         deleted = [[i for i in range(n) if i != x] for x in range(n)]
         return _minors_per_set(rows, deleted)
-    one = Fraction(1)
-    lead = [one, *itertools.accumulate(forward[0], operator.mul)]
-    trail = [one, *itertools.accumulate(backward[0], operator.mul)]
+    lead, trail = [1, *forward[0]], [1, *backward[0]]
+    total = math.prod(scales)
     minors = []
     for x in range(n):
         end = min(x + b, n)  # R = [end, n); W = x + 1..x + h
         f, g, h = forward[1][x], backward[1][n - end], end - 1 - x
+        p, q = lead[x], trail[n - end]
         w = range(1, h + 1)
-        schur = [
-            {c - 1: f[r][c] + g[h - r][h - c] - band[x + r].get(x + c, 0) for c in w}
+        z = [
+            {
+                c - 1: q * f[r][c] + p * g[h - r][h - c]
+                - p * q * band[x + r].get(x + c, 0)
+                for c in w
+            }
             for r in w
         ]
-        if h <= 1:
-            det = schur[0][0] if schur else one
+        if h == 0:
+            det = p * q
+        elif h == 1:
+            det = z[0][0]
         else:
-            det = _minors_per_set(schur, [range(h)])[0]
-        minors.append(lead[x] * trail[n - end] * det)
+            det = _minors_per_set(z, [range(h)])[0].numerator // (p * q) ** (h - 1)
+        minors.append(Fraction(det * scales[order[x]], total))
     return [minors[place[x]] for x in range(n)]
 
 

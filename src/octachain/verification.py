@@ -14,11 +14,12 @@ per-``n`` context, ``_Chain``, whose shared artifacts (the graph, the rational
 block images of Q_n and the three ("A") or two ("S") lowest coefficients of
 their characteristic polynomials, the bipartition, the Kemeny oracle value,
 the full spectrum) are built on first use and then reused, and returns the
-fields of its :class:`CheckResult`.  The phase sections of Q_n are index
-ranges of the images of Q_(n+1), read from ``next``, the context
-``run_verification`` steps to, so each image is built once.  Each minor
-ladder is one :func:`~octachain.exact_algebra.leading_minors` sweep over a
-section, each family of vertex-deleted minors one
+fields of its :class:`CheckResult`.  Each block image is read once into
+sparse rows, and the phase sections of Q_n are sparse slices of the images
+of Q_(n+1), read from ``next``, the context ``run_verification`` steps to,
+so each image is built once.  Each minor ladder is one
+:func:`~octachain.exact_algebra.leading_minors` sweep over a section, each
+family of vertex-deleted minors one
 :func:`~octachain.exact_algebra.deleted_minors` sweep over a block image, and
 each published row one :func:`~octachain.reference_data.table_rows` row.
 Vector checks report their first three mismatches with both values.
@@ -83,9 +84,14 @@ class _Chain:
         return gg.build_moebius_octagonal(self.n)
 
     @cached_property
-    def image(self) -> dict[str, list[list[Fraction]]]:
-        """The block images of Q_n, by family."""
-        return {f: lap.rational_block_image(self.n, f) for f in "AS"}
+    def image(self) -> dict[str, list[dict[int, Fraction]]]:
+        """The block images of Q_n, by family, each read once into
+        ``{column: entry}`` rows of its nonzeros, which every exact kernel
+        and section then reads in O(nonzeros)."""
+        return {
+            f: xa._read_rows(lap.rational_block_image(self.n, f), xa._as_fraction)
+            for f in "AS"
+        }
 
     @cached_property
     def next(self) -> "_Chain":
@@ -146,8 +152,12 @@ def _ladder(label: str, m: int, expected, actual) -> dict:
 
 
 def _leading_minors(c: _Chain, closed, family: str, phase: int) -> dict:
-    window = slice(phase, phase + c.m)
-    minors = xa.leading_minors([r[window] for r in c.next.image[family][window]])
+    end = phase + c.m
+    section = [
+        {j - phase: x for j, x in row.items() if phase <= j < end}
+        for row in c.next.image[family][phase:end]
+    ]
+    minors = xa.leading_minors(section)
     return _ladder("j", c.m, lambda j: closed(phase, j), lambda j: minors[j - 1])
 
 

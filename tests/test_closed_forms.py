@@ -300,3 +300,59 @@ def test_spectral_summary_powers_the_unit_once(monkeypatch):
     assert s.dk == cf.dk_index(n)
     assert s.tau == cf.spanning_trees(n)
 
+
+
+# the (a, b) tables the ladders were first written with, as Fractions:
+# w_j = (a + b k) / 12**k and q_j = (a t_k + 15 b u_k) / 12**k
+W_FRACTION_TABLE = {
+    (0, 0): (1, 3),
+    (0, 1): (F(2, 3), 1),
+    (0, 2): (F(1, 2), F(1, 2)),
+    (1, 0): (1, 3),
+    (1, 1): (1, F(3, 2)),
+    (1, 2): (F(3, 4), F(3, 4)),
+    (2, 0): (1, 3),
+    (2, 1): (1, F(3, 2)),
+    (2, 2): (F(1, 2), F(1, 2)),
+}
+Q_FRACTION_TABLE = {
+    (0, 0): (F(1, 2), F(1, 5)),
+    (0, 1): (F(2, 3), F(17, 90)),
+    (0, 2): (F(7, 12), F(7, 45)),
+    (1, 0): (F(1, 2), F(1, 5)),
+    (1, 1): (F(1, 2), F(3, 20)),
+    (1, 2): (F(3, 8), F(1, 10)),
+}
+
+
+def _w_reference(phase, j):
+    k, r = divmod(j, 3)
+    a, b = W_FRACTION_TABLE[(phase, r)]
+    return (a + b * k) * F(1, 12) ** k
+
+
+def _q_reference(phase, j):
+    k, r = divmod(j, 3)
+    a, b = Q_FRACTION_TABLE[(phase, r)]
+    t, u = xa.unit_power(k)
+    return (a * t + 15 * b * u) / 12**k
+
+
+def test_integer_ladders_equal_the_fraction_tables():
+    for phase in (0, 1, 2):
+        assert [cf.w_minor(phase, j) for j in range(-1, 301)] == [
+            _w_reference(phase, j) for j in range(-1, 301)
+        ]
+    for phase in (0, 1):
+        assert [cf.q_minor(phase, j) for j in range(301)] == [
+            _q_reference(phase, j) for j in range(301)
+        ]
+        with pytest.raises(ValueError):
+            cf.q_minor(phase, -1)
+    for n in range(1, 41):
+        for x in range(1, 3 * n + 1):
+            r = x % 3
+            want = _w_reference(0, x - 1) * _w_reference(r, 3 * n - x) - F(
+                1, 6
+            ) * _w_reference(1, x - 2) * _w_reference(r, 3 * n - x - 1)
+            assert cf.minor_det_la(x, n) == want, (x, n)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from octachain import exact_algebra as xa
+from octachain import laplacian as lap
 from octachain import oracles as orc
 from minor_reference import principal_minors
 
@@ -340,6 +341,77 @@ def test_exact_kernels_iterate_each_row_once(kernel, m):
     rows = [CountedRow(row) for row in m]
     assert kernel(rows) == kernel(m)
     assert [row.iterations for row in rows] == [1] * len(m)
+
+
+class CountedMapping(dict):
+    """A sparse matrix row that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+    def items(self):
+        self.iterations += 1
+        return super().items()
+
+
+def _sparse(m):
+    return [CountedMapping({j: x for j, x in enumerate(row) if x}) for row in m]
+
+
+@settings(max_examples=200)
+@given(st.one_of(rational_matrices, cyclic_banded_matrices(), sparse_int_matrices))
+def test_sparse_rows_give_what_dense_rows_give(m):
+    kernels = [xa.leading_minors, xa.deleted_minors, orc.charpoly_exact]
+    if all(isinstance(x, int) for row in m for x in row):
+        kernels.append(lambda rows: xa.det_series(rows, [1] * len(rows), 2))
+    for kernel in kernels:
+        rows = _sparse(m)
+        assert kernel(rows) == kernel(m)
+        assert [row.iterations for row in rows] == [1] * len(m)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [xa.leading_minors, xa.deleted_minors, orc.charpoly_exact, xa.det_series],
+)
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([{0: 1.5}], TypeError),
+        ([{0: 1, 1: 0.0}, {1: 1}], TypeError),
+        ([{1: 1}], ValueError),
+        ([{0: 1}, {-1: 1}], ValueError),
+        ([{0: 0}, {2: 0}], ValueError),
+    ],
+    ids=["float-entry", "float-zero", "past-the-end", "negative", "zero-off-range"],
+)
+def test_sparse_rows_refuse_bad_input(kernel, rows, error):
+    with pytest.raises(error):
+        kernel(rows)
+
+
+@pytest.mark.parametrize("rows", [[{-1: 1}, {}], [{5: 1}], [{0: 1}, {2: 1}]])
+def test_rcm_refuses_a_column_outside_the_matrix(rows):
+    # -1 once came back as an entry of the "permutation", 5 as an IndexError
+    with pytest.raises(ValueError):
+        xa.reverse_cuthill_mckee(rows)
+
+
+def test_the_sweeps_of_the_block_images_stay_integral():
+    for n in range(1, 7):
+        for family in "AS":
+            image = xa._read_rows(lap.rational_block_image(n, family), xa._as_fraction)
+            cleared, _ = xa._cleared_rows(image)
+            sweep = xa._schur_sweep(cleared, xa._half_bandwidth(cleared))
+            assert sweep is not None
+            pivots, windows = sweep
+            entries = [x for window in windows for row in window for x in row]
+            assert all(type(x) is int for x in pivots + entries), (n, family)
+            dense = [[row.get(j, 0) for j in range(3 * n)] for row in cleared]
+            assert pivots == principal_minors(dense, _leading_sets(3 * n))
 
 
 def test_rational_kernels_accept_numpy_integers():
