@@ -43,6 +43,10 @@ def positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
     if value < 1:
         raise argparse.ArgumentTypeError("value must be a positive integer")
+    # 144 bytes per angle of spectrum's complex 3 x 3 Bloch symbols, the
+    # largest per-n array of any command: past this, its size overflows
+    if value > sys.maxsize // 144:
+        raise argparse.ArgumentTypeError(f"value must be at most {sys.maxsize // 144}")
     return value
 
 
@@ -119,11 +123,11 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     try:
         with (
             open(args.json_out, "w", encoding="utf-8")
-            if args.json_out
+            if args.json_out is not None
             else contextlib.nullcontext()
         ) as out:
             report = ver.run_verification(args.n_max)
-            if args.json_out:
+            if args.json_out is not None:
                 out.write(ver.report_to_json(report) + "\n")
     except OSError as exc:
         parser.error(f"cannot write --json-out file: {exc}")

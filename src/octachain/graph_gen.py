@@ -200,21 +200,6 @@ def vertex_degrees(g) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def is_connected(g) -> bool:
-    g = _graph_data(g)
-    if g.vertex_count == 0:
-        return True
-    adj = adjacency_lists(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
-
-
 def degree_product(g: ChainGraph) -> int:
     return math.prod(g.degrees)
 

@@ -8,11 +8,15 @@ routines, and the only code that loads numpy, inside their bodies),
 characteristic polynomials (whole, or only their lowest coefficients) and
 Kemeny's constant from banded elimination over truncated power series, the
 degree-weighted resistance sum from one such pass that carries the degrees
-along as an extra column, and tree counts from an exact cofactor.  Any
-graph can be passed in, either a :class:`~octachain.graph_gen.ChainGraph`
-or a plain ``(vertex_count, edges)`` pair, which keeps the oracles honest:
-they are exercised on tiny hand-checkable graphs in the tests before being
-pointed at the chains.
+along as an extra column, and tree counts from an exact cofactor.  Both
+passes read the degrees off the diagonal of the Laplacian they eliminate and
+2|E| as its trace, and by the matrix-tree theorem their determinants certify
+connectivity: tau = det L0 and the Kemeny pencil's c1 = -2|E| * tau are zero
+exactly when the graph is disconnected.  Any graph can be passed in, either
+a :class:`~octachain.graph_gen.ChainGraph` or a plain
+``(vertex_count, edges)`` pair, which keeps the oracles honest: they are
+exercised on tiny hand-checkable graphs in the tests before being pointed
+at the chains.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import lru_cache, wraps
 
 from .exact_algebra import _as_fraction, _cleared_rows, _eliminate, _read_rows
 from .exact_algebra import bareiss_det_int, det_series
-from .graph_gen import _graph_data, is_connected, vertex_degrees
+from .graph_gen import _graph_data
 from .laplacian import combinatorial_laplacian
 
 F = Fraction
@@ -163,15 +167,18 @@ def kemeny_oracle(g) -> Fraction:
     the walk matrix I - D^(-1) A.
 
     Those are the roots of det(zD - L) with L = D - A, so the sum is -c2/c1
-    by Vieta, read from the three lowest coefficients of the pencil.  A
-    single vertex has no nonzero eigenvalue: the empty sum, 0.
+    by Vieta, read from the three lowest coefficients of the pencil
+    det(L - zD), D the diagonal of L.  Every diagonal cofactor of L is the
+    tree count tau (the matrix-tree theorem), so c1 = -tr(L) * tau =
+    -2|E| * tau is zero exactly when the graph is disconnected.  A single
+    vertex has no nonzero eigenvalue: the empty sum, 0.
     """
-    g = _graph_data(g)
-    if not is_connected(g):
-        raise DisconnectedGraph("Kemeny's constant needs a connected graph")
-    if g.vertex_count == 1:
+    lap = combinatorial_laplacian(g)
+    if len(lap) <= 1:
         return F(0)
-    pencil = det_series(combinatorial_laplacian(g), [-d for d in vertex_degrees(g)], 3)
+    pencil = det_series(lap, [-row[i] for i, row in enumerate(lap)], 3)
+    if pencil[1] == 0:
+        raise DisconnectedGraph("Kemeny's constant needs a connected graph")
     return recip_sum_from_charpoly(pencil)
 
 
@@ -180,10 +187,12 @@ def dk_oracle(g) -> Fraction:
 
     With G the inverse of the Laplacian grounded at vertex 0 (padded with
     zeros there) and r_ij = G_ii + G_jj - 2 G_ij, the sum is
-    2|E| * sum_i d_i G_ii - d^T G d.  Both terms come from one banded pass
-    over the grounded Laplacian L0 and the degrees d0 of the other
+    2|E| * sum_i d_i G_ii - d^T G d.  The degrees d are the diagonal of the
+    Laplacian L, and 2|E| is its trace.  Both terms come from one banded
+    pass over the grounded Laplacian L0 and the degrees d0 of the other
     vertices.  The pencil gives det(L0 + z*diag(d0)) = tau + z * tau *
-    tr(diag(d0) G), where tau = det(L0) is the spanning tree count.  d0
+    tr(diag(d0) G), where tau = det(L0) is the spanning tree count, zero
+    exactly when the graph is disconnected (the matrix-tree theorem).  d0
     rides along as a carried column, never pivoted: with p_k the pivots
     (p_0 = 1) and y_k the carried entry of the pivot row of step k, the
     fraction-free LDL^T identity (Bareiss 1968; Golub & Van Loan, Matrix
@@ -191,21 +200,21 @@ def dk_oracle(g) -> Fraction:
     The identity needs the diagonal pivots and no z-factor; both hold, as
     every principal minor of L0 is positive for a connected graph.
     """
-    g = _graph_data(g)
-    if not is_connected(g):
-        raise DisconnectedGraph("resistances need a connected graph")
     lap = combinatorial_laplacian(g)
+    degrees = [row[i] for i, row in enumerate(lap)]
     grounded = _read_rows([row[1:] for row in lap[1:]], operator.index)
-    degrees = list(vertex_degrees(g)[1:])
-    (tau, trace), chosen, pivots, carried = _eliminate(grounded, degrees, 2, degrees)
-    if not tau or chosen != list(range(len(grounded))):
+    d0 = degrees[1:]
+    (tau, trace), chosen, pivots, carried = _eliminate(grounded, d0, 2, d0)
+    if not tau:
+        raise DisconnectedGraph("resistances need a connected graph")
+    if chosen != list(range(len(grounded))):
         raise ArithmeticError("the grounded Laplacian lost a diagonal pivot")
     # quad = p_k * (the sum up to step k), an integer: y^T adj(L_k) y on the
     # leading block L_k, so each step divides exactly
     quad = 0
     for prev, p, y in zip(pivots, pivots[1:], carried):
         quad = (quad * p[0] + y[0] ** 2) // prev[0]
-    return F(2 * len(g.edges) * trace - quad, tau)
+    return F(sum(degrees) * trace - quad, tau)
 
 
 @_graph_cache

@@ -44,6 +44,25 @@ def test_graph_rejects_nonpositive_n():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n", [10**19, 10**30], ids=["1e19", "1e30"])
+@pytest.mark.parametrize("command", ["graph", "spectrum"])
+def test_n_past_any_array_size_is_a_usage_error(capsys, command, n):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--n", str(n)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"value must be at most {sys.maxsize // 144}" in err
+    assert "Traceback" not in err
+
+
+def test_n_up_to_the_array_bound_parses():
+    parser = cli.build_parser()
+    limit = sys.maxsize // 144
+    for command in ("graph", "spectrum"):
+        assert parser.parse_args([command, "--n", str(limit)]).n == limit
+
+
 def test_graph_rejects_bad_kind():
     with pytest.raises(SystemExit) as exc:
         run_cli(["graph", "--n", "1", "--kind", "hex"])
@@ -297,6 +316,19 @@ def test_verify_unwritable_json_out_exits_2_before_running(capsys, monkeypatch, 
         run_cli(["verify", "--json-out", str(tmp_path / "missing" / "r.json")])
     assert exc.value.code == 2
     assert "--json-out" in capsys.readouterr().err
+
+
+def test_verify_empty_json_out_exits_2_before_running(capsys, monkeypatch):
+    def run_verification(n_max):
+        raise AssertionError("the suite ran with no report file open")
+
+    monkeypatch.setattr(cli.ver, "run_verification", run_verification)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--json-out", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot write --json-out file: " in err
 
 
 def test_verify_mutation_exits_1(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -228,7 +229,7 @@ def test_single_vertex_kemeny_and_dk():
 
 @pytest.mark.parametrize(
     "oracle",
-    [orc.spanning_trees_oracle, orc.kemeny_oracle, orc.dk_oracle, gg.is_connected],
+    [orc.spanning_trees_oracle, orc.kemeny_oracle, orc.dk_oracle],
 )
 def test_negative_vertex_count_is_rejected(oracle):
     with pytest.raises(ValueError, match="negative"):
@@ -281,7 +282,6 @@ def test_every_graph_function_reads_its_edges_once(edges):
     ] * 3
     assert gg.adjacency_lists(triangle()) == ((1, 2), (0, 2), (0, 1))
     assert gg.vertex_degrees(triangle()) == (2, 2, 2)
-    assert gg.is_connected(triangle())
     assert not gg.is_bipartite(triangle())[0]
     # walk eigenvalues 0, 3/2, 3/2; every resistance is 2/3
     assert orc.kemeny_oracle(triangle()) == F(4, 3)
@@ -355,6 +355,60 @@ def test_disconnected_graph_rejected():
     broken = (4, ((0, 1), (2, 3)))
     with pytest.raises(orc.DisconnectedGraph):
         orc.dk_oracle(broken)
+
+
+def _searched_connected(vertex_count, edges):
+    """Connectivity by a breadth-first search from vertex 0."""
+    adj = [[] for _ in range(vertex_count)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0} if vertex_count else set()
+    queue = list(seen)
+    for v in queue:
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == vertex_count
+
+
+def test_oracles_refuse_exactly_the_disconnected_graphs():
+    # the oracles read connectivity off their determinants; a search must
+    # agree on every graph, isolated vertices included
+    rng = random.Random(34)
+    refusals = {
+        orc.kemeny_oracle: "^Kemeny's constant needs a connected graph$",
+        orc.dk_oracle: "^resistances need a connected graph$",
+    }
+    disconnected = isolated = 0
+    for _ in range(600):
+        count, p = rng.randint(0, 12), rng.choice([0.05, 0.1, 0.2, 0.4, 0.6])
+        pairs = itertools.combinations(range(count), 2)
+        g = (count, [e for e in pairs if rng.random() < p])
+        if _searched_connected(*g):
+            dk = orc.dk_oracle(g)
+            assert dk == 2 * len(g[1]) * orc.kemeny_oracle(g)
+            if count > 1:
+                assert float(dk) == pytest.approx(_pinv_dk(g), rel=1e-9)
+            continue
+        disconnected += 1
+        isolated += 0 in gg.vertex_degrees(g)
+        for oracle, message in refusals.items():
+            with pytest.raises(orc.DisconnectedGraph, match=message):
+                oracle(g)
+    assert disconnected >= 300 and isolated >= 250
+
+
+def test_kemeny_and_dk_oracles_search_no_graph(monkeypatch):
+    def refuse(g):
+        raise AssertionError("an oracle built adjacency lists")
+
+    monkeypatch.setattr(gg, "adjacency_lists", refuse)
+    for n in range(1, 5):
+        q = gg.build_moebius_octagonal(n)
+        assert orc.kemeny_oracle(q) == cf.kemeny(n)
+        assert orc.dk_oracle(q) == cf.dk_index(n)
 
 
 def test_route_independence():
