@@ -8,9 +8,10 @@ reads the integer pair (t_n, u_n) from
 done here.  The verification layer compares each formula with an oracle that
 recomputes it from the graph.
 
-The per-n functions power the unit once per call.  A run of consecutive n
-is served by :func:`table_terms`, which powers it once for the first row
-and steps (t_n, u_n) to each next row with one multiplication by the unit
+The per-n functions read n as an ``int`` (a numpy integer too, a float
+never) and power the unit once per call.  A run of consecutive n is
+served by :func:`table_terms`, which powers it once for the first row and
+steps (t_n, u_n) to each next row with one multiplication by the unit
 (:func:`~octachain.exact_algebra.unit_powers`); both evaluate the same
 formulas on (n, t_n, u_n).  The formulas give unreduced (numerator,
 denominator) pairs: the per-n functions reduce them to Fractions, while
@@ -43,14 +44,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import unit_power, unit_powers
+from .exact_algebra import _positive_int, unit_power, unit_powers
 
 F = Fraction
-
-
-def _require_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError("n must be a positive integer")
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +130,33 @@ def q_minor(phase: int, j: int) -> Fraction:
 
 def sum_recip_alpha(n: int) -> Fraction:
     """Sum of reciprocals of the nonzero sum-block eigenvalues."""
-    _require_positive(n)
+    n = _positive_int(n)
     return F(147 * n * n - 19, 84)
 
 
 def xi(n: int) -> Fraction:
     """Sum of reciprocals of the difference-block eigenvalues,
     37 n u_n / (2 (t_n + 2))."""
-    _require_positive(n)
+    n = _positive_int(n)
     t, u = unit_power(n)
     return F(37 * n * u, 2 * (t + 2))
 
 
 def kemeny(n: int) -> Fraction:
     """Kemeny's constant of the random walk on the closed chain."""
-    _require_positive(n)
+    n = _positive_int(n)
     return F(*_kemeny_terms(n, *unit_power(n)))
 
 
 def dk_index(n: int) -> Fraction:
     """Degree-weighted resistance index sum d_i d_j r_ij over vertex pairs."""
-    _require_positive(n)
+    n = _positive_int(n)
     return F(*_dk_terms(n, *unit_power(n)))
 
 
 def spanning_trees(n: int) -> int:
     """Number of spanning trees, 3n (t_n + 2) / 2 (t_n is even)."""
-    _require_positive(n)
+    n = _positive_int(n)
     return _tree_terms(n, *unit_power(n))[0]
 
 
@@ -198,7 +194,7 @@ def table_terms(which: str, start: int, end: int):
     """
     if which not in _TABLES:
         raise ValueError(f"no table {which!r}")
-    _require_positive(start)
+    start = _positive_int(start)
     terms = _TABLES[which]
     return (
         terms(n, t, u)
@@ -213,27 +209,27 @@ def table_terms(which: str, start: int, end: int):
 
 def det_ls(n: int) -> Fraction:
     """Determinant of the difference block, (t_n + 2) / 12**n."""
-    _require_positive(n)
+    n = _positive_int(n)
     t, _ = unit_power(n)
     return F(t + 2, 12**n)
 
 
 def coeff_d_3n_minus_1(n: int) -> Fraction:
     """Magnitude of the linear charpoly coefficient of the sum block."""
-    _require_positive(n)
+    n = _positive_int(n)
     return F(21 * n * n, 12**n)
 
 
 def coeff_d_3n_minus_2(n: int) -> Fraction:
     """Magnitude of the quadratic charpoly coefficient of the sum block."""
-    _require_positive(n)
+    n = _positive_int(n)
     return F(147 * n**4 - 19 * n**2, 4 * 12**n)
 
 
 def coeff_t_3n_minus_1(n: int) -> Fraction:
     """Magnitude of the linear charpoly coefficient of the difference block,
     37 n u_n / (2 * 12**n)."""
-    _require_positive(n)
+    n = _positive_int(n)
     _, u = unit_power(n)
     return F(37 * n * u, 2 * 12**n)
 
@@ -245,7 +241,8 @@ def minor_det_la(x: int, n: int) -> Fraction:
     ends carry the seam coupling; it splits into ladder products with the
     right-hand segment restarting at phase x mod 3.
     """
-    _require_positive(n)
+    n = _positive_int(n)
+    x = operator.index(x)
     if not 1 <= x <= 3 * n:
         raise ValueError(f"position {x} outside 1..{3 * n}")
     r = x % 3
@@ -259,7 +256,8 @@ def minor_det_la(x: int, n: int) -> Fraction:
 
 def minor_det_ls(x: int, n: int) -> Fraction:
     """Determinant of the difference block with row and column x removed."""
-    _require_positive(n)
+    n = _positive_int(n)
+    x = operator.index(x)
     if not 1 <= x <= 3 * n:
         raise ValueError(f"position {x} outside 1..{3 * n}")
     _, u = unit_power(n)
@@ -286,7 +284,7 @@ class SpectralSummary:
 def spectral_summary(n: int) -> SpectralSummary:
     """Every index for one n, from one power of the unit: Kemeny's constant
     as in :func:`kemeny`, with xi(n) and dk read from it."""
-    _require_positive(n)
+    n = _positive_int(n)
     t, u = unit_power(n)
     alpha, k = sum_recip_alpha(n), F(*_kemeny_terms(n, t, u))
     return SpectralSummary(

@@ -91,6 +91,15 @@ def _as_fraction(value) -> Fraction:
         ) from None
 
 
+def _positive_int(value, name: str = "n") -> int:
+    """A size as the ``int`` ``operator.index`` gives (a numpy integer
+    passes, a float raises ``TypeError``); below 1 it raises ``ValueError``."""
+    value = operator.index(value)
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return value
+
+
 def _read_rows(m: Sequence, entry) -> list[dict]:
     """The nonzero entries of a square matrix as ``{column: entry(x)}`` rows,
     every row iterated once.  A row is a sequence of all N entries or a
@@ -102,20 +111,15 @@ def _read_rows(m: Sequence, entry) -> list[dict]:
     for row in m:
         if isinstance(row, Mapping):
             read = {j: entry(x) for j, x in row.items()}
-            _check_columns(read, n)
+            for j in read:
+                if not 0 <= operator.index(j) < n:
+                    raise ValueError(f"column {j} outside 0..{n - 1}")
             rows.append({j: y for j, y in read.items() if y})
             continue
         if len(row) != n:
             raise ValueError("matrix must be square")
         rows.append({j: y for j, x in enumerate(row) if (y := entry(x))})
     return rows
-
-
-def _check_columns(columns, n: int) -> None:
-    """Refuse, with ``ValueError``, a column index outside 0..n-1."""
-    for j in columns:
-        if not 0 <= operator.index(j) < n:
-            raise ValueError(f"column {j} outside 0..{n - 1}")
 
 
 def _cleared_rows(
@@ -131,19 +135,18 @@ def _cleared_rows(
     return cleared, scales
 
 
-def reverse_cuthill_mckee(rows: Sequence[Mapping[int, object]]) -> list[int]:
+def _rcm_order(rows: Sequence[Mapping[int, object]]) -> list[int]:
     """A reverse Cuthill-McKee order (Cuthill & McKee 1969) of a square matrix
-    given as ``{column: entry}`` rows of its nonzeros; only columns are read.
+    given as ``{column: entry}`` rows of its nonzeros; only columns are read,
+    and they are trusted to lie in 0..N-1, as :func:`_read_rows` leaves them.
 
     Breadth-first search over the graph of the nonzero off-diagonal entries
     of R + R^T, started in each component at a vertex of least degree and
     taking neighbours by increasing degree; the visit order, reversed, keeps
     the nonzeros of the permuted matrix in a narrow band around the diagonal.
-    A column outside 0..N-1 raises ``ValueError``.
     """
     adj = [set() for _ in rows]
     for i, row in enumerate(rows):
-        _check_columns(row, len(rows))
         for j in row:
             if i != j:
                 adj[i].add(j)
@@ -249,7 +252,7 @@ def _eliminate(
     if terms < 1:
         raise ValueError("terms must be positive")
     n = len(a)
-    order = reverse_cuthill_mckee(a)
+    order = _rcm_order(a)
     place = {old: new for new, old in enumerate(order)}
     zero = (0,) * terms
     band, cols = [], [set() for _ in range(n + 1)]  # column n is the carry
@@ -420,7 +423,7 @@ def deleted_minors(m: Sequence) -> list[Fraction]:
     rows = _read_rows(m, _as_fraction)
     n = len(rows)
     cleared, scales = _cleared_rows(rows)
-    order = reverse_cuthill_mckee(cleared)
+    order = _rcm_order(cleared)
     place = {old: new for new, old in enumerate(order)}
     band = [{place[j]: x for j, x in cleared[i].items()} for i in order]
     b = max(1, _half_bandwidth(band))

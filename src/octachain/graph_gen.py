@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
+from .exact_algebra import _positive_int
+
 MOEBIUS = "moebius"
 LINEAR = "linear"
 
@@ -48,10 +50,9 @@ class ChainGraph:
     def __post_init__(self):
         if self.kind not in (MOEBIUS, LINEAR):
             raise ValueError(f"unknown chain kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if self.vertex_count < 1:
-            raise ValueError("graph must have at least one vertex")
+        object.__setattr__(self, "n", _positive_int(self.n))
+        vertex_count = _positive_int(self.vertex_count, "vertex count")
+        object.__setattr__(self, "vertex_count", vertex_count)
         edges = _checked_edges(self.vertex_count, self.edges)
         object.__setattr__(self, "edges", edges)
         if any(a > b for a, b in edges):
@@ -69,8 +70,7 @@ def _chain_graph(kind: str, n: int, vertex_count: int, edges) -> ChainGraph:
 
 def build_linear_octagonal(n: int) -> ChainGraph:
     """Open chain of n octagons on 6n + 2 vertices and 7n + 1 edges."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _positive_int(n)
     m = 3 * n + 1
     u = list(range(m))
     v = list(range(m, 2 * m))
@@ -102,7 +102,7 @@ def fold_linear_ends(g: ChainGraph) -> ChainGraph:
     return _chain_graph(MOEBIUS, g.n, 2 * m, folded)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed: 2.0 must not hit the entry of 2
 def build_moebius_octagonal(n: int) -> ChainGraph:
     """Twisted closed chain of n octagons on 6n vertices and 7n edges."""
     g = fold_linear_ends(build_linear_octagonal(n))

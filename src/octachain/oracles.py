@@ -26,8 +26,8 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, wraps
 
-from .exact_algebra import _as_fraction, _cleared_rows, _eliminate, _read_rows
-from .exact_algebra import bareiss_det_int, det_series
+from .exact_algebra import _as_fraction, _cleared_rows, _eliminate, _positive_int
+from .exact_algebra import _read_rows, bareiss_det_int, det_series
 from .graph_gen import _graph_data
 from .laplacian import combinatorial_laplacian
 
@@ -94,8 +94,7 @@ def bloch_eigenvalues(b0, b1, sign: int, n: int) -> list[float]:
         raise ValueError(f"b1 has shape {b1.shape}, b0 has {b0.shape}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if operator.index(n) < 1:
-        raise ValueError("n must be a positive integer")
+    n = _positive_int(n)
     theta = (2 * np.arange(n) + (sign == -1)) * (np.pi / n)
     phase = np.exp(1j * theta)[:, None, None]
     symbols = b0 + phase * b1 + phase.conj() * b1.T

@@ -310,8 +310,7 @@ _CHECKS: list[tuple[str, Callable[[_Chain], dict | None]]] = [
 
 
 def run_verification(n_max: int) -> VerificationReport:
-    if n_max < 1:
-        raise ValueError("n_max must be a positive integer")
+    n_max = xa._positive_int(n_max, "n_max")
     checks: list[CheckResult] = []
     chain = _Chain(1)  # each size shares its block images with the size below
     while chain.n <= n_max:

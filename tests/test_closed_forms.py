@@ -204,6 +204,20 @@ def test_minor_x_out_of_range():
         cf.minor_det_ls(10, 3)
 
 
+def test_minor_positions_are_integers():
+    # a float once gave minor_det_ls(1.5, 1) = 7/6 and a KeyError in
+    # minor_det_la; a numpy position once wrapped 12**k
+    for fn in (cf.minor_det_la, cf.minor_det_ls):
+        with pytest.raises(TypeError):
+            fn(1.5, 1)
+    for n in range(1, 41):
+        for x in range(1, 3 * n + 1):
+            for fn in (cf.minor_det_la, cf.minor_det_ls):
+                value = fn(x, n)
+                assert fn(np.int64(x), n) == value
+                assert fn(x, np.int32(n)) == value
+
+
 def test_tree_count_product_identity():
     # 14n * tau = degree product * (z^1 coefficient) * det of the
     # difference block, all exact
@@ -221,6 +235,42 @@ def test_invalid_n():
     for fn in (cf.sum_recip_alpha, cf.xi, cf.dk_index, cf.kemeny, cf.spanning_trees):
         with pytest.raises(ValueError):
             fn(0)
+
+
+PER_N_FORMS = [
+    cf.sum_recip_alpha,
+    cf.xi,
+    cf.kemeny,
+    cf.dk_index,
+    cf.spanning_trees,
+    cf.det_ls,
+    cf.coeff_d_3n_minus_1,
+    cf.coeff_d_3n_minus_2,
+    cf.coeff_t_3n_minus_1,
+]
+
+
+@pytest.mark.parametrize("fn", PER_N_FORMS, ids=lambda fn: fn.__name__)
+def test_numpy_sizes_give_the_int_values(fn):
+    # numpy arithmetic on the size once wrapped silently
+    for n in range(1, 61):
+        value = fn(n)
+        for size in (np.int32(n), np.int64(n)):
+            got = fn(size)
+            assert got == value and type(got) is type(value)
+        with pytest.raises(TypeError):
+            fn(n + 0.5)
+
+
+def test_numpy_sizes_in_tables_and_summaries():
+    assert cf.spanning_trees(np.int32(9)) == 1568872935
+    assert list(cf.table_terms("dk", np.int32(20), 30)) == list(
+        cf.table_terms("dk", 20, 30)
+    )
+    with pytest.raises(TypeError):
+        cf.table_terms("dk", 2.0, 3)
+    s = cf.spectral_summary(np.int64(40))
+    assert s == cf.spectral_summary(40) and type(s.n) is int
 
 
 PER_N = {"dk": cf.dk_index, "kemeny": cf.kemeny, "trees": cf.spanning_trees}

@@ -393,13 +393,6 @@ def test_sparse_rows_refuse_bad_input(kernel, rows, error):
         kernel(rows)
 
 
-@pytest.mark.parametrize("rows", [[{-1: 1}, {}], [{5: 1}], [{0: 1}, {2: 1}]])
-def test_rcm_refuses_a_column_outside_the_matrix(rows):
-    # -1 once came back as an entry of the "permutation", 5 as an IndexError
-    with pytest.raises(ValueError):
-        xa.reverse_cuthill_mckee(rows)
-
-
 def test_the_sweeps_of_the_block_images_stay_integral():
     for n in range(1, 7):
         for family in "AS":

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import pkgutil
 import random
 from collections import Counter
@@ -206,6 +207,27 @@ def test_invalid_n_rejected(bad):
         gg.build_moebius_octagonal(bad)
     with pytest.raises(ValueError):
         gg.build_linear_octagonal(bad)
+
+
+def test_numpy_sizes_build_int_graphs():
+    for build in (gg.build_linear_octagonal, gg.build_moebius_octagonal):
+        g = build(np.int64(2))
+        assert type(g.n) is int and type(g.vertex_count) is int
+        assert json.loads(gg.export(g, "json"))["n"] == 2
+        assert g == build(2)
+
+
+def test_float_sizes_are_refused():
+    q2 = gg.build_moebius_octagonal(2)
+    for build in (gg.build_linear_octagonal, gg.build_moebius_octagonal):
+        with pytest.raises(TypeError):
+            build(2.0)
+    with pytest.raises(TypeError):
+        gg.ChainGraph(kind=gg.MOEBIUS, n=2.0, vertex_count=12, edges=q2.edges)
+    with pytest.raises(TypeError):
+        gg.ChainGraph(kind=gg.MOEBIUS, n=2, vertex_count=12.0, edges=q2.edges)
+    with pytest.raises(ValueError, match="vertex count must be a positive integer"):
+        gg.ChainGraph(kind=gg.MOEBIUS, n=2, vertex_count=0, edges=())
 
 
 def test_chain_graph_validation():

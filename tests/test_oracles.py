@@ -185,7 +185,7 @@ def test_kemeny_pencil_matches_walk_charpoly():
 def test_rcm_bandwidth():
     def bandwidth(rows):
         pattern = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        pos = {v: k for k, v in enumerate(xa.reverse_cuthill_mckee(pattern))}
+        pos = {v: k for k, v in enumerate(xa._rcm_order(pattern))}
         return max(
             abs(pos[i] - pos[j])
             for i, row in enumerate(rows)

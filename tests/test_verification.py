@@ -157,6 +157,8 @@ def test_wrong_minor_sweeps_are_fail_lines(monkeypatch):
 def test_invalid_n_max():
     with pytest.raises(ValueError):
         ver.run_verification(0)
+    with pytest.raises(TypeError):
+        ver.run_verification(2.0)
 
 
 def test_ladder_mismatch_reports_both_values(monkeypatch):
