@@ -50,8 +50,11 @@ class ChainGraph:
     def __post_init__(self):
         if self.kind not in (MOEBIUS, LINEAR):
             raise ValueError(f"unknown chain kind {self.kind!r}")
-        object.__setattr__(self, "n", _positive_int(self.n))
+        n = _positive_int(self.n)
         vertex_count = _positive_int(self.vertex_count, "vertex count")
+        if vertex_count != 6 * n + (2 if self.kind == LINEAR else 0):
+            raise ValueError("a chain has 6n vertices closed, 6n + 2 open")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "vertex_count", vertex_count)
         edges = _checked_edges(self.vertex_count, self.edges)
         object.__setattr__(self, "edges", edges)
@@ -92,7 +95,7 @@ def fold_linear_ends(g: ChainGraph) -> ChainGraph:
     The identification is ``u_1 = v_{3n+1}`` and ``v_1 = u_{3n+1}``; the
     result is the twisted closed chain on 6n vertices.
     """
-    if g.kind != LINEAR or g.vertex_count != 6 * g.n + 2:
+    if g.kind != LINEAR:
         raise ValueError("only open chains on 6n + 2 vertices can be folded")
     m = 3 * g.n
     # u_1..u_{3n+1} keep their numbers, u_{3n+1} landing on v_1; v_1..v_{3n}
@@ -131,7 +134,7 @@ def mirror_automorphism(g: ChainGraph) -> tuple[int, ...]:
 def _mirror_permutation(g: ChainGraph) -> tuple[int, ...]:
     """The vertex permutation of :func:`mirror_automorphism`, without
     checking that it preserves the edges of `g`."""
-    if g.kind != MOEBIUS or g.vertex_count != 6 * g.n:
+    if g.kind != MOEBIUS:
         raise ValueError("the mirror swap needs a closed chain on 6n vertices")
     m = 3 * g.n
     return tuple(i + m if i < m else i - m for i in range(2 * m))

@@ -10,25 +10,20 @@ inside the eigensolvers that read them.
 The normalized Laplacian of the twisted closed chain commutes with the
 top/bottom mirror swap of :func:`graph_gen.mirror_automorphism`, so folding
 by ``U = (1/sqrt(2)) [[I, I], [I, -I]]`` block-diagonalizes it into a "sum"
-block (diagonal couplings reinforced) and a "difference" block.  The walk
-makes that fold itself: it keeps the top rows and adds each bottom column,
-with sign + or -, onto its mirror column.  Both blocks are almost
-tridiagonal: a band whose entries repeat with period three, plus two corner
-entries from the seam.  So each is block-circulant with 3 x 3 cells, the
-sum block with a periodic seam and the difference block with an
-antiperiodic one: :func:`block_cells` gives its cells and seam sign for
-every n, read once from the block of Q_3, and
-:func:`oracles.bloch_eigenvalues` its spectrum from them.
+block "A" (diagonal couplings reinforced) and a "difference" block "S".
+Each is a band whose entries repeat with period three, plus two corner
+entries from the seam: block-circulant with 3 x 3 cells, with a periodic
+seam for "A" and an antiperiodic one for "S".
 
 Every block entry is +-1/sqrt(d_i d_j), so conjugating by diag(sqrt(d))
 gives a rational matrix with the same characteristic polynomial *and* the
-same principal minors.  :func:`rational_block_image` is the same fold with
-the exact weight 1/d_j, so determinant work can stay in
-:class:`fractions.Fraction`.  The tridiagonal section of order 3n started at
-chain offset `phase` is the index range [phase, phase + 3n) of the image of
-Q_(n+1), whose seam corners lie outside it.  Both the float and the exact
-block are asked for by family, "A" (sum) or "S" (difference):
-``block_decompose(n, family)`` and ``rational_block_image(n, family)``.
+same principal minors.  :func:`rational_block_image` is that fold, the only
+one here: the walk keeps the top rows and adds each bottom column, with
+sign + or -, onto its mirror column, with the exact weight 1/d_j.  The
+section of order 3n at chain offset `phase` is the index range
+[phase, phase + 3n) of the image of Q_(n+1), whose seam corners lie outside
+it.  :func:`block_cells` reads the float cells of every n from the image of
+Q_3, and :func:`oracles.bloch_eigenvalues` the spectrum from them.
 """
 
 from __future__ import annotations
@@ -54,10 +49,11 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
 
     A ``unit`` diagonal (1.0 or Fraction(1)) makes a normalized matrix, so
     every degree must be positive; without it the degrees sit on the
-    diagonal.  With a ``sign`` the graph is the closed chain: only its top
-    3n rows are kept, and a bottom column k is folded onto its mirror column
-    with that sign; :func:`graph_gen.build_moebius_octagonal` has checked
-    that the mirror preserves the edges.
+    diagonal.  With a ``sign``, which only :func:`rational_block_image`
+    passes, the graph is the closed chain: only its top 3n rows are kept,
+    and a bottom column k is folded onto its mirror column with that sign;
+    :func:`graph_gen.build_moebius_octagonal` has checked that the mirror
+    preserves the edges.
     """
     data = _graph_data(g)
     vertex_count, edges = data
@@ -79,11 +75,6 @@ def _edge_walk(g, weight, unit=None, sign=None) -> list[list]:
     return out
 
 
-def _normalized(g, sign=None) -> list[list[float]]:
-    # the integer product d_i * d_k first, so the matrix is exactly symmetric
-    return _edge_walk(g, lambda i, k, d: 1.0 / math.sqrt(d[i] * d[k]), 1.0, sign)
-
-
 def combinatorial_laplacian(g) -> list[list[int]]:
     """Integer matrix D - A."""
     return _edge_walk(g, lambda i, k, d: 1)
@@ -91,51 +82,50 @@ def combinatorial_laplacian(g) -> list[list[int]]:
 
 def normalized_laplacian(g) -> list[list[float]]:
     """Float matrix I - D^(-1/2) A D^(-1/2), entries -1/sqrt(d_i * d_j)."""
-    return _normalized(g)
-
-
-def block_decompose(n: int, family: str) -> list[list[float]]:
-    """One 3n x 3n block of the closed-chain Laplacian, split by the mirror
-    symmetry: X + Y for family "A", X - Y for "S".
-
-    On the top vertices the matrix is [[X, Y], [Y, X]], Y coupling vertex i
-    with the mirror of vertex j; the fold turns it into diag(X + Y, X - Y).
-    """
-    sign = _family_sign(family)
-    return _normalized(build_moebius_octagonal(n), sign)
+    # the integer product d_i * d_k first, so the matrix is exactly symmetric
+    return _edge_walk(g, lambda i, k, d: 1.0 / math.sqrt(d[i] * d[k]), 1.0)
 
 
 @functools.lru_cache(maxsize=2)
 def block_cells(family: str) -> tuple[tuple, tuple, int]:
-    """The 3 x 3 cells (B0, B1) and the seam sign of a fold block, for
+    """The 3 x 3 float cells (B0, B1) and the seam sign of a fold block, for
     every n.
 
     Block `family` of Q_n has B0 in every diagonal cell, B1 coupling cell r
     to cell r + 1 and B1^T back, and sign * B1 from the last cell to the
     first: it is block-circulant for "A" (sign +1) and block-skew-circulant
-    for "S" (sign -1).  The cells are read from the block of Q_3, the
-    smallest whose cells do not alias, and that 9 x 9 block is checked to
-    be exactly this matrix; a mismatch raises ConstructionError.
+    for "S" (sign -1).  The cells are read from the exact image R of the
+    block of Q_3, the smallest whose cells do not alias: entry (i, j) of R
+    must repeat at (i + 3, j + 3) mod 9, times the sign where that shift
+    crosses the seam, or ConstructionError is raised.  R = E S E^(-1) for
+    the float block S and a positive diagonal E, so S_ii = R_ii and S_ij is
+    sgn(R_ij) sqrt(R_ij R_ji).
     """
     sign = _family_sign(family)
-    block = block_decompose(3, family)
+    image = rational_block_image(3, family)
+    for i, row in enumerate(image):
+        # row i moved three columns along, times the sign where it crosses
+        # the seam: its last cell from rows 0-5, its first two from rows 6-8
+        seam = row if sign > 0 else [-x for x in row]
+        if image[(i + 3) % 9] != (seam[6:] + row[:6] if i < 6 else row[6:] + seam[:6]):
+            raise ConstructionError(
+                f"block {family} of Q_3 is not block-circulant with seam sign {sign:+d}"
+            )
 
-    def cell(r, c):
-        rows = block[3 * r : 3 * r + 3]
-        return tuple(tuple(row[3 * c : 3 * c + 3]) for row in rows)
+    def entry(i, j):
+        if i == j:  # 1 minus the coupling, as normalized_laplacian rounds it
+            return 1.0 - float(1 - image[i][i])
+        x, y = image[i][j], image[j][i]
+        if x == y == 0:
+            return 0.0
+        p = x * y
+        if p <= 0:
+            raise ConstructionError(f"block {family} of Q_3 is not symmetrizable")
+        # p is 1 / (d_i d_j): normalized_laplacian's 1.0 / sqrt(d_i d_j) to the bit
+        return math.copysign(math.sqrt(p.numerator) / math.sqrt(p.denominator), x)
 
-    b0, b1 = cell(0, 0), cell(0, 1)
-    b1t, seam = tuple(zip(*b1)), tuple(tuple(sign * x for x in row) for row in b1)
-    want = {
-        (0, 0): b0, (1, 1): b0, (2, 2): b0,
-        (0, 1): b1, (1, 2): b1, (2, 0): seam,
-        (1, 0): b1t, (2, 1): b1t, (0, 2): tuple(zip(*seam)),
-    }
-    if any(cell(r, c) != cells for (r, c), cells in want.items()):
-        raise ConstructionError(
-            f"block {family} of Q_3 is not block-circulant with seam sign {sign:+d}"
-        )
-    return b0, b1, sign
+    rows = [[entry(i, j) for j in range(6)] for i in range(3)]
+    return tuple(tuple(r[:3]) for r in rows), tuple(tuple(r[3:]) for r in rows), sign
 
 
 def _family_sign(family: str) -> int:

@@ -113,10 +113,6 @@ class _Chain:
         return gg.is_bipartite(self.graph)
 
     @cached_property
-    def kemeny(self) -> Fraction:
-        return orc.kemeny_oracle(self.graph)
-
-    @cached_property
     def spectrum(self) -> list[float]:
         return orc.eigenvalues_symmetric(lap.normalized_laplacian(self.graph))
 
@@ -288,8 +284,17 @@ _CHECKS: list[tuple[str, Callable[[_Chain], dict | None]]] = [
         lambda c: _exact(cf.sum_recip_alpha(c.n), orc.recip_sum_from_charpoly(c.pa)),
     ),
     ("xi_vieta", lambda c: _exact(cf.xi(c.n), orc.recip_sum_from_charpoly(c.ps))),
-    ("kemeny_oracle_match", lambda c: _exact(cf.kemeny(c.n), c.kemeny)),
-    ("dk_charpoly_route", lambda c: _exact(cf.dk_index(c.n), 14 * c.n * c.kemeny)),
+    (
+        "kemeny_oracle_match",
+        lambda c: _exact(cf.kemeny(c.n), orc.kemeny_oracle(c.graph)),
+    ),
+    (
+        "dk_charpoly_route",  # 14n K, K the Vieta sums of both block spectra
+        lambda c: _exact(
+            cf.dk_index(c.n),
+            14 * c.n * sum(map(orc.recip_sum_from_charpoly, (c.pa, c.ps))),
+        ),
+    ),
     (
         "dk_resistance_route",
         lambda c: _exact(cf.dk_index(c.n), orc.dk_oracle(c.graph)),

@@ -18,6 +18,7 @@ from octachain import laplacian as lap
 from octachain import oracles as orc
 from octachain import reference_data as ref
 from minor_reference import principal_minors
+from walk_matrix import dense_fold_block
 
 F = Fraction
 
@@ -92,7 +93,7 @@ def test_criterion_4_spectrum_decomposition(capsys):
         union = sorted(
             v
             for family in "AS"
-            for v in orc.eigenvalues_symmetric(lap.block_decompose(n, family))
+            for v in orc.eigenvalues_symmetric(dense_fold_block(n, family))
         )
         worst = max(abs(a - b) for a, b in zip(full, union))
         if len(full) != len(union) or worst > 1e-8:

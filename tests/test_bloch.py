@@ -1,16 +1,19 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from octachain import graph_gen as gg
 from octachain import laplacian as lap
 from octachain import oracles as orc
+from walk_matrix import dense_fold_block
 
 
 @pytest.mark.parametrize("family", "AS")
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 40, 200])
 def test_bloch_spectrum_matches_the_dense_block(n, family):
     bloch = orc.bloch_eigenvalues(*lap.block_cells(family), n)
-    dense = orc.eigenvalues_symmetric(lap.block_decompose(n, family))
+    dense = orc.eigenvalues_symmetric(dense_fold_block(n, family))
     assert len(bloch) == len(dense) == 3 * n
     assert bloch == sorted(bloch)
     assert max(abs(a - b) for a, b in zip(bloch, dense)) <= 1e-12
@@ -80,18 +83,18 @@ def test_block_cells_are_cached_tuples():
 
 
 def test_block_cells_refuse_any_perturbed_entry(monkeypatch):
-    # every entry of the 9 x 9 block lies in a cell that has to equal
+    # every entry of the exact 9 x 9 image lies in a cell that has to equal
     # another cell, so changing any one of them breaks the structure
-    dense = lap.block_decompose
+    image = lap.rational_block_image
     position = None
 
     def perturbed(n, family):
-        m = dense(n, family)
+        m = image(n, family)
         i, j = position
-        m[i][j] += 1e-15 if m[i][j] else 1e-300
+        m[i][j] += Fraction(1, 10**30)
         return m
 
-    monkeypatch.setattr(lap, "block_decompose", perturbed)
+    monkeypatch.setattr(lap, "rational_block_image", perturbed)
     for family in "AS":
         for position in [(i, j) for i in range(9) for j in range(9)]:
             lap.block_cells.cache_clear()
@@ -101,19 +104,57 @@ def test_block_cells_refuse_any_perturbed_entry(monkeypatch):
 
 
 def test_block_cells_check_the_seam_sign(monkeypatch):
-    # each block with the other family's seam sign: its two seam cells negated
-    dense = lap.block_decompose
+    # each image with the other family's seam sign: its two seam cells negated
+    image = lap.rational_block_image
 
     def flipped(n, family):
-        m = dense(n, family)
+        m = image(n, family)
         for i in range(6, 9):
             for j in range(3):
                 m[i][j], m[j][i] = -m[i][j], -m[j][i]
         return m
 
-    monkeypatch.setattr(lap, "block_decompose", flipped)
+    monkeypatch.setattr(lap, "rational_block_image", flipped)
     for family in "AS":
         lap.block_cells.cache_clear()
         with pytest.raises(gg.ConstructionError, match="seam sign"):
             lap.block_cells(family)
     lap.block_cells.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        ((0, 1), lambda x: -x),  # R_01 R_10 < 0
+        ((0, 2), lambda x: x + 1),  # R_02 != 0 while R_20 == 0
+    ],
+)
+def test_block_cells_need_an_image_similar_to_a_symmetric_block(
+    monkeypatch, entry, value
+):
+    # the same change in all three diagonal cells keeps the image
+    # block-circulant, but no positive diagonal E makes E^(-1) R E symmetric
+    image = lap.rational_block_image
+
+    def skewed(n, family):
+        m = image(n, family)
+        i, j = entry
+        for r in (0, 3, 6):
+            m[r + i][r + j] = value(m[r + i][r + j])
+        return m
+
+    monkeypatch.setattr(lap, "rational_block_image", skewed)
+    for family in "AS":
+        lap.block_cells.cache_clear()
+        with pytest.raises(gg.ConstructionError, match="symmetrizable"):
+            lap.block_cells(family)
+    lap.block_cells.cache_clear()
+
+
+def test_block_cells_rebuild_the_dense_block_of_q3():
+    # cells taken from the exact image agree with the float fold to an ulp
+    for family in "AS":
+        b0, b1, sign = lap.block_cells(family)
+        rebuilt = _dense_block_circulant(np.array(b0), np.array(b1), sign, 3)
+        gap = np.max(np.abs(rebuilt - np.array(dense_fold_block(3, family))))
+        assert gap <= 2.3e-16

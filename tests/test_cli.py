@@ -385,7 +385,7 @@ def test_exact_commands_never_load_numpy():
         "from octachain import laplacian as lap\n"
         "lap.normalized_laplacian(octachain.build_moebius_octagonal(3))\n"
         "for family in 'AS':\n"
-        "    lap.block_decompose(3, family)\n"
+        "    lap.block_cells(family)\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -495,8 +495,8 @@ def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, error, line):
 
 
 def test_spectrum_labels_and_values_match_the_dense_blocks(capsys):
-    from octachain import laplacian as lap
     from octachain import oracles as orc
+    from walk_matrix import dense_fold_block
 
     n = 40
     assert run_cli(["spectrum", "--n", str(n)]) == 0
@@ -506,7 +506,7 @@ def test_spectrum_labels_and_values_match_the_dense_blocks(capsys):
     for family in "AS":
         got = [float(v) for _, v, b in rows if b == family]
         assert len(got) == 3 * n
-        dense = orc.eigenvalues_symmetric(lap.block_decompose(n, family))
+        dense = orc.eigenvalues_symmetric(dense_fold_block(n, family))
         assert max(abs(a - b) for a, b in zip(got, dense)) <= 1e-12
 
 

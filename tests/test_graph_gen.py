@@ -117,10 +117,19 @@ def test_fold_rejects_moebius():
 )
 def test_index_maps_reject_a_wrong_vertex_count(operation, kind, vertex_count, edges):
     # the fold and the mirror map vertices by their chain positions, which
-    # only exist on 6n + 2 (open) or 6n (closed) vertices
-    g = gg.ChainGraph(kind, 1, vertex_count, edges)
+    # only exist on 6n + 2 (open) or 6n (closed) vertices; no graph with
+    # another count can be built to reach them
     with pytest.raises(ValueError, match="6n"):
-        operation(g)
+        operation(gg.ChainGraph(kind, 1, vertex_count, edges))
+
+
+def test_chain_graph_vertex_count_follows_n():
+    q3 = gg.build_moebius_octagonal(3)
+    with pytest.raises(ValueError, match="6n"):
+        gg.ChainGraph(kind=gg.MOEBIUS, n=2, vertex_count=18, edges=q3.edges)
+    with pytest.raises(ValueError, match="6n"):
+        gg.ChainGraph(kind=gg.LINEAR, n=5, vertex_count=3, edges=((0, 1),))
+    assert gg.ChainGraph(gg.MOEBIUS, 3, 18, q3.edges) == q3
 
 
 def test_mirror_small():

@@ -9,7 +9,7 @@ from octachain import laplacian as lap
 from octachain import oracles as orc
 from octachain import verification as ver
 from minor_reference import principal_minors
-from walk_matrix import rational_walk_laplacian
+from walk_matrix import dense_fold_block, rational_walk_laplacian
 
 F = Fraction
 S6 = 1.0 / math.sqrt(6.0)
@@ -44,12 +44,7 @@ def test_normalized_laplacian_entries():
 
 
 def test_normalized_laplacian_rejects_isolated_vertex():
-    g = gg.ChainGraph(
-        kind=gg.MOEBIUS,
-        n=1,
-        vertex_count=7,
-        edges=((0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)),
-    )
+    g = (7, ((0, 1), (0, 3), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5)))
     with pytest.raises(ValueError):
         lap.normalized_laplacian(g)
     # D - A needs no inverse degree: the isolated vertex is a zero row
@@ -83,24 +78,26 @@ def test_walk_charpoly_matches_numeric_spectrum():
             assert float(c) == pytest.approx(from_eig[k], abs=1e-9)
 
 
-def test_block_decompose_golden_n1():
-    la, ls = lap.block_decompose(1, "A"), lap.block_decompose(1, "S")
+def test_fold_block_golden_n1():
     la_expected = [[2 / 3, -S6, -S6], [-S6, 1, -0.5], [-S6, -0.5, 1]]
     ls_expected = [[4 / 3, -S6, S6], [-S6, 1, -0.5], [S6, -0.5, 1]]
-    assert np.allclose(la, la_expected, atol=1e-14)
-    assert np.allclose(ls, ls_expected, atol=1e-14)
+    for family, expected in (("A", la_expected), ("S", ls_expected)):
+        assert np.allclose(dense_fold_block(1, family), expected, atol=1e-14)
+        # at n = 1 the one cell meets itself across the seam on both sides
+        b0, b1, sign = (np.array(c) for c in lap.block_cells(family))
+        assert np.allclose(b0 + sign * (b1 + b1.T), expected, atol=1e-15)
 
 
 def test_a_returned_block_is_the_callers_own():
-    block = lap.block_decompose(2, "A")
-    block[0][0] = 9.0
-    assert lap.block_decompose(2, "A")[0][0] == pytest.approx(2 / 3, abs=1e-15)
+    block = lap.rational_block_image(2, "A")
+    block[0][0] = F(9)
+    assert lap.rational_block_image(2, "A")[0][0] == F(2, 3)
 
 
-def test_block_decompose_structure():
+def test_fold_block_structure():
     for n in range(1, 9):
-        la = np.array(lap.block_decompose(n, "A"))
-        ls = np.array(lap.block_decompose(n, "S"))
+        la = np.array(dense_fold_block(n, "A"))
+        ls = np.array(dense_fold_block(n, "S"))
         m = 3 * n
         # the top-vertex pieces [[X, Y], [Y, X]] of the unfolded matrix
         x, y = (la + ls) / 2, (la - ls) / 2
@@ -120,7 +117,7 @@ def test_float_blocks_are_the_rational_images_conjugated():
     for n in range(1, 9):
         root = np.sqrt(np.array(gg.build_moebius_octagonal(n).degrees[: 3 * n]))
         for family in "AS":
-            block = np.array(lap.block_decompose(n, family))
+            block = np.array(dense_fold_block(n, family))
             image = np.array(lap.rational_block_image(n, family), dtype=float)
             conjugated = image * root[np.newaxis, :] / root[:, np.newaxis]
             assert np.max(np.abs(block - conjugated)) <= 1e-15
@@ -128,7 +125,7 @@ def test_float_blocks_are_the_rational_images_conjugated():
 
 def test_la_zero_mode():
     for n in range(1, 9):
-        la = np.array(lap.block_decompose(n, "A"))
+        la = np.array(dense_fold_block(n, "A"))
         d = np.array([3.0 if j % 3 == 0 else 2.0 for j in range(3 * n)])
         w = np.sqrt(d)
         assert np.max(np.abs(la @ w)) < 1e-12
@@ -142,8 +139,8 @@ def test_mirror_fold_block_diagonalizes():
         eye = np.eye(m)
         u = np.block([[eye, eye], [eye, -eye]]) / math.sqrt(2.0)
         folded = u @ full @ u.T
-        la = np.array(lap.block_decompose(n, "A"))
-        ls = np.array(lap.block_decompose(n, "S"))
+        la = np.array(dense_fold_block(n, "A"))
+        ls = np.array(dense_fold_block(n, "S"))
         assert np.max(np.abs(folded[:m, m:])) <= 1e-8
         assert np.max(np.abs(folded[m:, :m])) <= 1e-8
         assert np.max(np.abs(folded[:m, :m] - la)) <= 1e-8
@@ -196,7 +193,7 @@ def test_phase_validity():
     with pytest.raises(ValueError, match="unknown block family"):
         lap.rational_block_image(2, "B")
     with pytest.raises(ValueError, match="unknown block family"):
-        lap.block_decompose(2, "B")
+        lap.block_cells("B")
 
 
 def test_rational_images_match_numeric_minors():
@@ -208,11 +205,11 @@ def test_rational_images_match_numeric_minors():
         (section_minors("S", 1, 12), phase_tridiagonal("S", 1, 12)),
         (
             principal_minors(lap.rational_block_image(3, "A"), leading),
-            lap.block_decompose(3, "A"),
+            dense_fold_block(3, "A"),
         ),
         (
             principal_minors(lap.rational_block_image(3, "S"), leading),
-            lap.block_decompose(3, "S"),
+            dense_fold_block(3, "S"),
         ),
     ]
     for exact, sym in cases:
@@ -260,7 +257,7 @@ def test_block_images_follow_the_graph(monkeypatch):
 
 def test_ls_positive_definite():
     for n in range(1, 11):
-        eig = orc.eigenvalues_symmetric(lap.block_decompose(n, "S"))
+        eig = orc.eigenvalues_symmetric(dense_fold_block(n, "S"))
         assert eig[0] > 1e-6
 
 
@@ -282,9 +279,8 @@ def test_decomposition_check():
     for n in [*range(1, 11), 100]:  # n = 100 is a 600 x 600 full matrix
         g = gg.build_moebius_octagonal(n)
         full = orc.eigenvalues_symmetric(lap.normalized_laplacian(g))
-        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
         union = sorted(
-            orc.eigenvalues_symmetric(la) + orc.eigenvalues_symmetric(ls)
+            v for f in "AS" for v in orc.eigenvalues_symmetric(dense_fold_block(n, f))
         )
         assert len(full) == len(union)
         assert max(abs(x - y) for x, y in zip(full, union)) <= 1e-8
@@ -292,7 +288,7 @@ def test_decomposition_check():
 
 def test_block_trace_identity():
     for n in range(1, 11):
-        la, ls = lap.block_decompose(n, "A"), lap.block_decompose(n, "S")
+        la, ls = dense_fold_block(n, "A"), dense_fold_block(n, "S")
         total = np.trace(la) + np.trace(ls)
         assert total == pytest.approx(6 * n, abs=1e-9)
 
@@ -311,7 +307,6 @@ def test_a_built_chain_is_mirror_checked_once(monkeypatch):
     gg.build_moebius_octagonal(7)
     assert calls == [7]
     for family in "AS":
-        lap.block_decompose(7, family)
         lap.rational_block_image(7, family)
     assert calls == [7]
 

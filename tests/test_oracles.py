@@ -13,7 +13,7 @@ from octachain import graph_gen as gg
 from octachain import laplacian as lap
 from octachain import oracles as orc
 from minor_reference import principal_minors
-from walk_matrix import rational_walk_laplacian
+from walk_matrix import dense_fold_block, rational_walk_laplacian
 
 F = Fraction
 
@@ -40,7 +40,7 @@ def test_eigensolver_known_2x2():
 
 
 def test_eigensolver_la_n1():
-    eig = orc.eigenvalues_symmetric(lap.block_decompose(1, "A"))
+    eig = orc.eigenvalues_symmetric(dense_fold_block(1, "A"))
     assert eig[0] == pytest.approx(0.0, abs=1e-10)
     assert eig[1] + eig[2] == pytest.approx(8 / 3, abs=1e-10)
     assert eig[1] * eig[2] == pytest.approx(7 / 4, abs=1e-10)

@@ -131,6 +131,13 @@ def test_resistance_route_disagreement_is_a_fail_line(monkeypatch):
     assert _failing(ver.run_verification(2)) == {"dk_resistance_route"}
 
 
+def test_kemeny_oracle_disagreement_leaves_the_charpoly_route(monkeypatch):
+    # dk_charpoly_route reads the block charpolys, not the Kemeny oracle
+    exact = orc.kemeny_oracle
+    monkeypatch.setattr(orc, "kemeny_oracle", lambda g: exact(g) + 1)
+    assert _failing(ver.run_verification(2)) == {"kemeny_oracle_match"}
+
+
 def test_wrong_unit_power_is_a_fail_line(monkeypatch, capsys):
     monkeypatch.setattr(cf, "unit_power", lambda k: (2, 2))
     failing = _failing(ver.run_verification(2))
