@@ -12,11 +12,11 @@ The per-n functions read n as an ``int`` (a numpy integer too, a float
 never) and power the unit once per call.  A run of consecutive n is
 served by :func:`table_terms`, which powers it once for the first row and
 steps (t_n, u_n) to each next row with one multiplication by the unit
-(:func:`~octachain.exact_algebra.unit_powers`); both evaluate the same
-formulas on (n, t_n, u_n).  The formulas give unreduced (numerator,
-denominator) pairs: the per-n functions reduce them to Fractions, while
-:func:`~octachain.reference_data.table_rows` rounds a table row from the
-pair as it is and takes no gcd.
+(:func:`~octachain.exact_algebra.unit_powers`), a tree row in exact
+``decimal`` digits; both evaluate the same formulas on (n, t_n, u_n).  The
+formulas give unreduced (numerator, denominator) pairs: the per-n functions
+reduce them to Fractions, while :func:`~octachain.reference_data.table_rows`
+rounds a table row from the pair as it is and takes no gcd.
 
 Quantities provided (for the closed chain with parameter n):
 
@@ -40,11 +40,12 @@ Quantities provided (for the closed chain with parameter n):
 
 from __future__ import annotations
 
+import decimal
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_algebra import _positive_int, unit_power, unit_powers
+from .exact_algebra import _positive_int, _unit_steps, unit_power, unit_powers
 
 F = Fraction
 
@@ -183,6 +184,11 @@ def _tree_terms(n: int, t: int, u: int) -> tuple[int, int]:
 _TABLES = {"dk": _dk_terms, "kemeny": _kemeny_terms, "trees": _tree_terms}
 
 
+# tree rows step in decimal digits, O(digits) to render, exactly or raising
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[
+    decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow])
+
+
 def table_terms(which: str, start: int, end: int):
     """Unreduced pairs (p, d), d > 0, with p / d the value of ``dk_index``,
     ``kemeny`` or ``spanning_trees`` (`which` is "dk", "kemeny" or "trees";
@@ -190,16 +196,28 @@ def table_terms(which: str, start: int, end: int):
 
     The unit is powered once, for `start`; each later row steps (t_n, u_n)
     by one multiplication along :func:`~octachain.exact_algebra.unit_powers`.
+    A tree count p is an integral ``decimal.Decimal``, equal to the int,
+    stepped in a context that traps any rounding (``_EXACT``).
     A bad `which` or `start` raises here, not at the first ``next()``.
     """
     if which not in _TABLES:
         raise ValueError(f"no table {which!r}")
     start = _positive_int(start)
+    ns = range(start, end + 1)
+    if which == "trees":
+        return _exact_trees(ns, *unit_power(start))
     terms = _TABLES[which]
-    return (
-        terms(n, t, u)
-        for n, (t, u) in zip(range(start, end + 1), unit_powers(start))
-    )
+    return (terms(n, t, u) for n, (t, u) in zip(ns, unit_powers(start)))
+
+
+def _exact_trees(ns, t: int, u: int):
+    """Each tree pair computed in ``_EXACT``, left before its yield, so the
+    caller's decimal context is never changed."""
+    steps = _unit_steps(decimal.Decimal(t), decimal.Decimal(u))
+    for n in ns:
+        with decimal.localcontext(_EXACT):
+            row = _tree_terms(n, *next(steps))
+        yield row
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ one entry with the corrected value.
 command, the verifier and ``scripts/reproduce_tables.py``.
 """
 
+import sys
 from fractions import Fraction
 
 from . import closed_forms as cf
@@ -102,7 +103,9 @@ def table_rows(which: str, start: int, end: int, compare=False, exact=False):
     """Rows ``{n, exact, value}`` of the dk, Kemeny or tree-count table for
     n = start..end from the unreduced pairs of ``cf.table_terms``: a dk or
     Kemeny value is rounded half-even with no gcd, and ``exact`` is the
-    reduced "p/q" only if `exact` is set (a tree count is its own).
+    reduced "p/q" only if `exact` is set.  A tree count is its own, ``str()``
+    of its integral ``Decimal`` in O(digits); until ROADMAP item 1, past
+    ``sys.get_int_max_str_digits()`` it raises as ``str(int)`` does.
     `compare` adds the printed ``published`` text, read at call time, and
     ``match``.  A bad request raises here, not at the first ``next()``."""
     published = None
@@ -118,6 +121,10 @@ def table_rows(which: str, start: int, end: int, compare=False, exact=False):
         for n, (p, d) in enumerate(pairs, start):
             if places is None:
                 value = text = str(p)
+                # temporary, until ROADMAP item 1: past the digit limit,
+                # raise the ValueError of str(int)
+                if 0 < sys.get_int_max_str_digits() < len(text):
+                    str(int(p))
             else:
                 value = xa._decimal_str(p, d, places)
                 text = xa.frac_to_str(Fraction(p, d)) if exact else None

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import json
 import math
@@ -169,6 +170,9 @@ def _reference_table(which, start, end, fmt, compare):
         pytest.param("trees", 1, 300, False, id="trees-300-False"),
         pytest.param("dk", 1, 30, True, id="dk-30-True"),
         pytest.param("trees", 1, 12, True, id="trees-12-True"),
+        pytest.param("trees", 1, 2000, False, id="trees-2000-False"),
+        pytest.param("trees", 997, 1003, False, id="trees-997-1003-False"),
+        pytest.param("trees", 4780, 4794, False, id="trees-4780-4794-False"),
         pytest.param("dk", 2990, 3000, False, id="dk-2990-3000-False"),
         pytest.param("kemeny", 2990, 3000, False, id="kemeny-2990-3000-False"),
     ],
@@ -235,6 +239,41 @@ def test_table_exact_column_past_the_digit_limit(capsys):
         assert Fraction(exact) == cf.dk_index(10000)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _context_state():
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.rounding, dict(ctx.traps), dict(ctx.flags)
+
+
+def test_table_trees_leaves_the_decimal_context_alone(capsys):
+    before = _context_state()
+    assert run_cli(["table", "trees", "--to", "300", "--format", "json"]) == 0
+    assert _context_state() == before
+
+
+def test_tree_rows_leave_the_callers_decimal_context_alone():
+    with decimal.localcontext() as ctx:
+        ctx.prec = 7
+        before = _context_state()
+        rows = ref.table_rows("trees", 1, 50)
+        assert next(rows)["value"] == "15"
+        # between rows the consumer computes in its own context
+        assert _context_state() == before
+        assert +decimal.Decimal("1.23456789") == decimal.Decimal("1.234568")
+        ctx.clear_flags()
+        assert len(list(rows)) == 49
+        assert _context_state()[:3] == before[:3] and not any(ctx.flags.values())
+
+
+def test_table_trees_raises_rather_than_round(capsys, monkeypatch):
+    # too little precision for row 60 (56 digits) must trap, not
+    # print rounded digits
+    low = decimal.Context(prec=40, traps=[decimal.Inexact, decimal.Rounded])
+    monkeypatch.setattr(cf, "_EXACT", low)
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):
+        run_cli(["table", "trees", "--to", "60"])
+    assert capsys.readouterr().out == ""
 
 
 def test_table_bad_range():

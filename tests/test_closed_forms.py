@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,13 @@ def test_table_values_rejects_bad_requests():
     with pytest.raises(ValueError):
         table_values("dk", 0, 3)
     assert table_values("trees", 5, 4) == []
+
+
+@pytest.mark.parametrize("start, end", [(1, 40), (997, 1003), (4790, 4800)])
+def test_tree_terms_are_exact_decimals_equal_to_the_counts(start, end):
+    pairs = list(cf.table_terms("trees", start, end))
+    assert pairs == [(cf.spanning_trees(n), 1) for n in range(start, end + 1)]
+    assert all(isinstance(p, Decimal) and p.as_tuple().exponent == 0 for p, _ in pairs)
 
 
 def test_table_terms_check_their_request_before_the_first_row():

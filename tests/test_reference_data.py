@@ -1,3 +1,7 @@
+import sys
+
+import pytest
+
 from octachain import closed_forms as cf
 from octachain import exact_algebra as xa
 from octachain import reference_data as ref
@@ -35,3 +39,49 @@ def test_published_dk_rows_multiply_xi_by_14_not_14n():
         if xa.frac_to_decimal_str(cf.dk_index(n), 2) == printed
     ]
     assert matching == [1]
+
+
+def _str_limit_error(x):
+    try:
+        str(x)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _first_row_past_the_limit(start, end):
+    """The n of the first tree row that raises, and its message."""
+    n = start
+    try:
+        for row in ref.table_rows("trees", start, end):
+            n = row["n"] + 1
+    except ValueError as exc:
+        return n, str(exc)
+    return None, None
+
+
+def test_tree_rows_keep_the_str_digit_limit():
+    # 4795 is the first row with more than the default 4300 digits
+    n, message = _first_row_past_the_limit(4790, 4800)
+    assert n == 4795 and "Exceeds the limit" in message
+    assert message == _str_limit_error(cf.spanning_trees(4795))
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        next(ref.table_rows("trees", 4795, 4795))
+
+
+def test_tree_rows_follow_a_lowered_and_a_lifted_limit():
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        n, message = _first_row_past_the_limit(600, 800)
+        want = next(k for k in range(600, 801) if _str_limit_error(cf.spanning_trees(k)))
+        assert n == want
+        assert message == _str_limit_error(cf.spanning_trees(want))
+        sys.set_int_max_str_digits(0)
+        rows = ref.table_rows("trees", 4795, 4800)
+        assert [row["value"] for row in rows] == [
+            xa.int_to_str(cf.spanning_trees(n)) for n in range(4795, 4801)
+        ]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
